@@ -10,6 +10,18 @@ using control::ByteReader;
 using control::ByteWriter;
 using control::kFrameHeaderBytes;
 
+namespace {
+/// Version gate, run before any field decode: a frame tagged with any
+/// version but ours is rejected by name, never read through our layout.
+void check_version(std::uint32_t version, const char* what) {
+  if (version != kWireVersion) {
+    throw std::invalid_argument(std::string(what) + ": unsupported version " +
+                                std::to_string(version) + " (speaks " +
+                                std::to_string(kWireVersion) + ")");
+  }
+}
+}  // namespace
+
 std::vector<std::uint8_t> encode_epoch(const EpochMessage& msg) {
   ByteWriter w;
   w.put_u32(kEpochMsgMagic);
@@ -42,15 +54,7 @@ EpochMessage decode_epoch(std::span<const std::uint8_t> frame) {
   if (r.get_u32() != kEpochMsgMagic) {
     throw std::invalid_argument("epoch msg: bad magic");
   }
-  // Version gate before any field decode: a frame from a newer peer is
-  // rejected by name here, never interpreted through an older layout.
-  const std::uint32_t version = r.get_u32();
-  if (version < kWireVersionMin || version > kWireVersion) {
-    throw std::invalid_argument("epoch msg: unsupported version " +
-                                std::to_string(version) + " (speaks " +
-                                std::to_string(kWireVersionMin) + ".." +
-                                std::to_string(kWireVersion) + ")");
-  }
+  check_version(r.get_u32(), "epoch msg");
   EpochMessage msg;
   msg.source_id = r.get_u64();
   msg.seq_first = r.get_u64();
@@ -58,11 +62,9 @@ EpochMessage decode_epoch(std::span<const std::uint8_t> frame) {
   msg.span.first = r.get_u64();
   msg.span.last = r.get_u64();
   msg.packets = r.get_i64();
-  if (version >= 2) {
-    msg.epoch_close_ns = r.get_u64();
-    msg.send_ns = r.get_u64();
-  }
-  if (version >= 4) msg.seed_gen = r.get_u64();
+  msg.epoch_close_ns = r.get_u64();
+  msg.send_ns = r.get_u64();
+  msg.seed_gen = r.get_u64();
   msg.snapshot = r.get_blob();
   if (!r.exhausted()) {
     throw std::invalid_argument("epoch msg: trailing bytes");
@@ -86,15 +88,7 @@ AckMessage decode_ack(std::span<const std::uint8_t> frame) {
   if (r.get_u32() != kAckMsgMagic) {
     throw std::invalid_argument("ack msg: bad magic");
   }
-  // The ack layout is unchanged since v1; accept the whole speakable
-  // range so mixed-version pairs still complete the handshake.
-  const std::uint32_t version = r.get_u32();
-  if (version < kWireVersionMin || version > kWireVersion) {
-    throw std::invalid_argument("ack msg: unsupported version " +
-                                std::to_string(version) + " (speaks " +
-                                std::to_string(kWireVersionMin) + ".." +
-                                std::to_string(kWireVersion) + ")");
-  }
+  check_version(r.get_u32(), "ack msg");
   AckMessage ack;
   ack.source_id = r.get_u64();
   ack.seq_last = r.get_u64();
@@ -133,26 +127,12 @@ std::vector<std::uint8_t> encode_recover_response(const RecoverResponse& resp) {
   return control::seal_frame(w.bytes());
 }
 
-namespace {
-/// Shared version gate for the v3 recover messages: they did not exist
-/// before v3, so a frame tagged older is forged, and one tagged newer
-/// than we speak is rejected by name before any field decode.
-void check_recover_version(std::uint32_t version, const char* what) {
-  if (version < kRecoverVersionMin || version > kWireVersion) {
-    throw std::invalid_argument(std::string(what) + ": unsupported version " +
-                                std::to_string(version) + " (speaks " +
-                                std::to_string(kRecoverVersionMin) + ".." +
-                                std::to_string(kWireVersion) + ")");
-  }
-}
-}  // namespace
-
 RecoverRequest decode_recover_request(std::span<const std::uint8_t> frame) {
   ByteReader r(control::open_frame(frame));
   if (r.get_u32() != kRecoverReqMagic) {
     throw std::invalid_argument("recover req: bad magic");
   }
-  check_recover_version(r.get_u32(), "recover req");
+  check_version(r.get_u32(), "recover req");
   RecoverRequest req;
   req.source_id = r.get_u64();
   if (!r.exhausted()) {
@@ -166,8 +146,7 @@ RecoverResponse decode_recover_response(std::span<const std::uint8_t> frame) {
   if (r.get_u32() != kRecoverRespMagic) {
     throw std::invalid_argument("recover resp: bad magic");
   }
-  const std::uint32_t version = r.get_u32();
-  check_recover_version(version, "recover resp");
+  check_version(r.get_u32(), "recover resp");
   RecoverResponse resp;
   resp.source_id = r.get_u64();
   resp.found = r.get_u8() != 0;
@@ -175,7 +154,7 @@ RecoverResponse decode_recover_response(std::span<const std::uint8_t> frame) {
   resp.span.first = r.get_u64();
   resp.span.last = r.get_u64();
   resp.packets = r.get_i64();
-  if (version >= 4) resp.seed_gen = r.get_u64();
+  resp.seed_gen = r.get_u64();
   resp.snapshot = r.get_blob();
   if (!r.exhausted()) {
     throw std::invalid_argument("recover resp: trailing bytes");

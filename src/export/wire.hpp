@@ -36,21 +36,13 @@ inline constexpr std::uint32_t kEpochMsgMagic = 0x4e45504du;    // "NEPM"
 inline constexpr std::uint32_t kAckMsgMagic = 0x4e45504bu;      // "NEPK"
 inline constexpr std::uint32_t kRecoverReqMagic = 0x4e525251u;  // "NRRQ"
 inline constexpr std::uint32_t kRecoverRespMagic = 0x4e525250u; // "NRRP"
-/// v2 adds epoch-close and send timestamps to EpochMessage (freshness
-/// observability, DESIGN.md §12).  v3 adds the reverse-direction rejoin
-/// handshake (recover-request / recover-response, DESIGN.md §15); the
-/// epoch/ack layouts are unchanged.  v4 adds the seed generation to
-/// EpochMessage and RecoverResponse (keyed seed rotation, DESIGN.md §16);
-/// pre-v4 frames decode with generation 0, which is exactly what a
-/// rotation-disabled monitor runs at.  Decoders accept [kWireVersionMin,
-/// kWireVersion]; v1 frames decode with zeroed timestamps, and anything
-/// newer than kWireVersion is rejected by name *before* any field is
-/// read, so an old peer never garbage-decodes a newer layout.  The
-/// recover messages themselves require version >= 3: they did not exist
-/// before, so an older-tagged frame claiming to be one is forged.
+/// The one wire version this tree speaks.  Monitor and collector build
+/// from the same source, so there is no negotiation: every decoder
+/// rejects any other version by name *before* reading a field, and an
+/// old or newer peer never garbage-decodes a layout it does not know.
+/// The layout carries the epoch-close/send timestamps (DESIGN.md §12),
+/// the rejoin handshake (§15) and the seed generation (§16).
 inline constexpr std::uint32_t kWireVersion = 4;
-inline constexpr std::uint32_t kWireVersionMin = 1;
-inline constexpr std::uint32_t kRecoverVersionMin = 3;
 
 /// Frames larger than this are treated as stream corruption (a UnivMon
 /// snapshot at paper scale is a few MB; 64 MiB leaves generous headroom).
@@ -62,14 +54,14 @@ struct EpochMessage {
   std::uint64_t seq_last = 1;   // inclusive; > seq_first after coalescing
   core::EpochSpan span;
   std::int64_t packets = 0;
-  /// v2 freshness timestamps (monitor steady clock; 0 = unknown / v1 peer).
+  /// Freshness timestamps (monitor steady clock; 0 = unknown).
   /// epoch_close_ns is when the *newest* covered epoch closed at the
   /// source; send_ns is stamped at each delivery attempt, so close->send
   /// is queue+retry delay and send->receive is the wire.
   std::uint64_t epoch_close_ns = 0;
   std::uint64_t send_ns = 0;
-  /// v4: seed generation of the snapshot (keyed rotation, DESIGN.md §16);
-  /// 0 from pre-v4 peers and rotation-disabled monitors.  The collector
+  /// Seed generation of the snapshot (keyed rotation, DESIGN.md §16); 0
+  /// from rotation-disabled monitors.  The collector
   /// merges each generation into its own replica — cross-generation
   /// sketches do not share hash functions and must never be merged.
   std::uint64_t seed_gen = 0;
@@ -90,7 +82,7 @@ struct AckMessage {
   AckStatus status = AckStatus::kApplied;
 };
 
-/// Reverse-direction rejoin handshake (wire v3, DESIGN.md §15).  A monitor
+/// Reverse-direction rejoin handshake (DESIGN.md §15).  A monitor
 /// restarting with no usable local state asks the collector for its
 /// last-applied replica; the response carries the collector's cumulative
 /// sketch for the source plus the settled sequence number, so the monitor
@@ -108,7 +100,7 @@ struct RecoverResponse {
   std::uint64_t last_seq = 0;  // everything <= last_seq is applied
   core::EpochSpan span;        // union of applied epoch spans
   std::int64_t packets = 0;    // cumulative applied packet count
-  /// v4: seed generation of the replica snapshot, so the rejoining
+  /// Seed generation of the replica snapshot, so the rejoining
   /// monitor rebuilds its baseline under the right derived seed.
   std::uint64_t seed_gen = 0;
   std::vector<std::uint8_t> snapshot;  // sealed UnivMon replica (empty if !found)

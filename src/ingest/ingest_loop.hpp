@@ -27,6 +27,9 @@ struct IngestStats {
 
 class IngestLoop {
  public:
+  /// Largest poll batch; larger burst sizes are clamped to it.
+  static constexpr std::size_t kMaxBurst = 256;
+
   IngestLoop(IngestBackend& backend, switchsim::Measurement& measurement,
              std::size_t burst_size = switchsim::kBurstSize)
       : backend_(backend), measurement_(measurement), burst_size_(burst_size) {}
@@ -65,8 +68,6 @@ class IngestLoop {
   const IngestStats& stats() const noexcept { return stats_; }
 
  private:
-  static constexpr std::size_t kMaxBurst = 256;
-
   IngestBackend& backend_;
   switchsim::Measurement& measurement_;
   std::size_t burst_size_;

@@ -4,8 +4,8 @@
 // lock-free.  Every observed generation must satisfy the conservation
 // invariant — the merged sketch's total equals the view's packet count
 // equals the sum of the live sources' packets recorded IN THAT VIEW —
-// and generations must be monotonic per reader.  Built into tests_tsan:
-// run under -DNITRO_SANITIZE=thread this is the data-race proof for the
+// and generations must be monotonic per reader.  Labelled `tsan`: run
+// under -DNITRO_SANITIZE=thread this is the data-race proof for the
 // lock-free serving plane.
 #include "export/collector.hpp"
 

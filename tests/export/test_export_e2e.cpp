@@ -1,7 +1,7 @@
-// End-to-end network-wide aggregation (DESIGN.md §11): three measurement
-// daemons stream their epochs to one collector over loopback while fault
-// injection stalls sends, kills collector connections mid-stream, and
-// duplicates frames.  The collector's merged view must equal a single
+// End-to-end network-wide aggregation (DESIGN.md §11): three monitors
+// (each the MonitorRuntime nitro_monitor drives) stream their epochs to
+// one collector over loopback while fault injection stalls sends, kills
+// collector connections mid-stream, and duplicates frames.  The collector's merged view must equal a single
 // reference instance that saw the concatenation of all three packet
 // streams — exact for counters, top-k within heap re-estimation tolerance
 // — and no epoch may ever be double-counted.
@@ -13,11 +13,11 @@
 #include <thread>
 #include <vector>
 
-#include "control/daemon.hpp"
+#include "control/monitor_runtime.hpp"
 #include "core/nitro_univmon.hpp"
 #include "export/collector.hpp"
-#include "export/exporter.hpp"
 #include "fault/fault.hpp"
+#include "support/monitor_config.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/trace.hpp"
 #include "trace/workloads.hpp"
@@ -25,25 +25,13 @@
 namespace nitro::xport {
 namespace {
 
-sketch::UnivMonConfig um_config() {
-  sketch::UnivMonConfig cfg;
-  cfg.levels = 6;
-  cfg.depth = 3;
-  cfg.top_width = 512;
-  cfg.min_width = 128;
-  cfg.heap_capacity = 128;
-  return cfg;
-}
+using control::MonitorRuntime;
+using testing::small_univmon;
+using testing::vanilla_nitro;
 
 constexpr std::uint64_t kSeed = 7;
 constexpr int kMonitors = 3;
 constexpr int kEpochsPerMonitor = 4;
-
-core::NitroConfig vanilla_config() {
-  core::NitroConfig cfg;
-  cfg.mode = core::Mode::kVanilla;  // deterministic additive counters
-  return cfg;
-}
 
 trace::Trace monitor_stream(int monitor) {
   trace::WorkloadSpec spec;
@@ -56,46 +44,27 @@ trace::Trace monitor_stream(int monitor) {
 struct E2eResult {
   std::uint64_t acked = 0;
   std::uint64_t published = 0;
+  std::uint64_t dup_frames = 0;  // injected duplicate sends
 };
 
-/// Run one monitor: a MeasurementDaemon wired to an EpochExporter via
-/// set_export_sink, fed `stream` split into epochs.  This is the same
-/// integration nitro_monitor --export-to uses.
-E2eResult run_monitor(int monitor, const Endpoint& collector_ep,
-                      telemetry::Registry& registry) {
-  control::MeasurementDaemon::Tasks tasks;
-  control::MeasurementDaemon daemon(um_config(), vanilla_config(), tasks, kSeed);
-
-  ExporterConfig ecfg;
-  ecfg.endpoint = collector_ep;
-  ecfg.source_id = static_cast<std::uint64_t>(monitor);
-  ecfg.connect_timeout_ms = 500;
-  ecfg.ack_timeout_ms = 1500;
-  ecfg.backoff_base_ns = 500'000;
-  ecfg.backoff_max_ns = 10'000'000;
-  ecfg.queue_capacity = 4;
-  EpochExporter exporter(ecfg, univmon_coalescer(um_config(), kSeed));
-  exporter.attach_telemetry(registry, "nitro_export_src" + std::to_string(monitor));
-  exporter.start();
-  daemon.set_export_sink([&exporter](control::ExportedEpoch&& e) {
-    exporter.publish(e.span, e.packets, std::move(e.snapshot));
-  });
-
+/// Run one monitor — the MonitorRuntime nitro_monitor --export-to drives —
+/// fed `stream` split into epochs.
+E2eResult run_monitor(int monitor, const Endpoint& collector_ep) {
+  auto cfg = testing::monitor_config(kSeed, collector_ep, static_cast<std::uint64_t>(monitor));
+  cfg.exporter->queue_capacity = 4;
+  MonitorRuntime rt(cfg);
+  (void)rt.restore();
   const auto stream = monitor_stream(monitor);
-  const std::size_t per_epoch = stream.size() / kEpochsPerMonitor;
-  std::size_t cursor = 0;
   for (int e = 0; e < kEpochsPerMonitor; ++e) {
-    const std::size_t end =
-        e == kEpochsPerMonitor - 1 ? stream.size() : cursor + per_epoch;
-    for (; cursor < end; ++cursor) daemon.on_packet(stream[cursor].key);
-    (void)daemon.end_epoch();
+    testing::feed_epoch(rt.hook(), stream, e, kEpochsPerMonitor);
+    (void)rt.close_epoch();
   }
 
   E2eResult r;
   r.published = static_cast<std::uint64_t>(kEpochsPerMonitor);
-  EXPECT_TRUE(exporter.flush(30'000)) << "monitor " << monitor << " did not drain";
-  r.acked = exporter.epochs_acked();
-  exporter.stop();
+  EXPECT_TRUE(rt.shutdown(30'000)) << "monitor " << monitor << " did not drain";
+  r.acked = rt.registry().counter("nitro_export_acked_epochs_total").value();
+  r.dup_frames = rt.registry().counter("nitro_export_injected_dup_frames_total").value();
   return r;
 }
 
@@ -113,7 +82,7 @@ TEST(ExportE2e, ThreeMonitorsOneCollectorUnderInjectedFaults) {
   fault::ScopedFaultInjection guard(schedule);
 
   CollectorConfig ccfg;
-  ccfg.um_cfg = um_config();
+  ccfg.um_cfg = small_univmon();
   ccfg.seed = kSeed;
   CollectorServer server(ccfg, *parse_endpoint("tcp:127.0.0.1:0"));
   telemetry::Registry registry;
@@ -125,8 +94,7 @@ TEST(ExportE2e, ThreeMonitorsOneCollectorUnderInjectedFaults) {
   std::vector<std::thread> monitors;
   std::vector<E2eResult> results(kMonitors + 1);
   for (int m = 1; m <= kMonitors; ++m) {
-    monitors.emplace_back(
-        [m, &ep, &registry, &results] { results[m] = run_monitor(m, ep, registry); });
+    monitors.emplace_back([m, &ep, &results] { results[m] = run_monitor(m, ep); });
   }
   for (auto& t : monitors) t.join();
 
@@ -146,8 +114,7 @@ TEST(ExportE2e, ThreeMonitorsOneCollectorUnderInjectedFaults) {
   EXPECT_GE(schedule.fired(fault::Site::kExportSend), 2u);
   EXPECT_GE(schedule.fired(fault::Site::kCollectorIngest), 2u);
   EXPECT_GE(registry.counter("nitro_collector_injected_conn_kills_total").value(), 2u);
-  EXPECT_GE(registry.counter("nitro_export_src2_injected_dup_frames_total").value(),
-            1u);
+  EXPECT_GE(results[2].dup_frames, 1u);
 
   // --- no double count: packets are exact per source and in total --------
   std::int64_t total_packets = 0;
@@ -167,7 +134,7 @@ TEST(ExportE2e, ThreeMonitorsOneCollectorUnderInjectedFaults) {
   // --- merged view equals the single-instance reference ------------------
   // Reference: one vanilla data plane that saw all three streams.  Same
   // update path, same config, same seed => counters must match exactly.
-  core::NitroUnivMon reference(um_config(), vanilla_config(), kSeed);
+  core::NitroUnivMon reference(small_univmon(), vanilla_nitro(), kSeed);
   for (int m = 1; m <= kMonitors; ++m) {
     for (const auto& p : monitor_stream(m)) reference.update(p.key);
   }
@@ -216,7 +183,7 @@ TEST(ExportE2e, TraceSpansStitchMonitorToCollectorWithE2eLag) {
   // order.  The v2 timestamps make per-source end-to-end lag visible in
   // the collector's stats.
   CollectorConfig ccfg;
-  ccfg.um_cfg = um_config();
+  ccfg.um_cfg = small_univmon();
   ccfg.seed = kSeed;
   CollectorServer server(ccfg, *parse_endpoint("tcp:127.0.0.1:0"));
   telemetry::Registry registry;
@@ -231,35 +198,20 @@ TEST(ExportE2e, TraceSpansStitchMonitorToCollectorWithE2eLag) {
   // Sequential monitors: the ambient tracer context is process-wide, as it
   // is in the real (one-monitor-per-process) deployment.
   for (int m = 1; m <= kMonitors; ++m) {
-    control::MeasurementDaemon::Tasks tasks;
-    control::MeasurementDaemon daemon(um_config(), vanilla_config(), tasks, kSeed);
-    ExporterConfig ecfg;
-    ecfg.endpoint = ep;
-    ecfg.source_id = static_cast<std::uint64_t>(m);
-    ecfg.connect_timeout_ms = 500;
-    ecfg.ack_timeout_ms = 1500;
-    EpochExporter exporter(ecfg, univmon_coalescer(um_config(), kSeed));
-    exporter.start();
-    daemon.set_export_sink([&exporter](control::ExportedEpoch&& e) {
-      exporter.publish(e.span, e.packets, std::move(e.snapshot), e.close_ns);
-    });
-
+    MonitorRuntime rt(testing::monitor_config(kSeed, ep, static_cast<std::uint64_t>(m)));
+    (void)rt.restore();
     const auto stream = monitor_stream(m);
-    const std::size_t per_epoch = stream.size() / kEpochsPerMonitor;
-    std::size_t cursor = 0;
     for (int e = 0; e < kEpochsPerMonitor; ++e) {
-      monitor_tracer.set_context(static_cast<std::uint64_t>(m), daemon.epoch());
-      const std::size_t end =
-          e == kEpochsPerMonitor - 1 ? stream.size() : cursor + per_epoch;
+      const std::uint64_t epoch = rt.daemon().epoch();
+      monitor_tracer.set_context(static_cast<std::uint64_t>(m), epoch);
       {
         telemetry::ScopedSpan ingest(telemetry::Stage::kIngest,
-                                     static_cast<std::uint64_t>(m), daemon.epoch());
-        for (; cursor < end; ++cursor) daemon.on_packet(stream[cursor].key);
+                                     static_cast<std::uint64_t>(m), epoch);
+        testing::feed_epoch(rt.hook(), stream, e, kEpochsPerMonitor);
       }
-      (void)daemon.end_epoch();
+      (void)rt.close_epoch();
     }
-    ASSERT_TRUE(exporter.flush(30'000)) << "monitor " << m;
-    exporter.stop();
+    ASSERT_TRUE(rt.shutdown(30'000)) << "monitor " << m;
   }
   telemetry::uninstall_tracer();
 
@@ -342,7 +294,7 @@ TEST(ExportE2e, CollectorRestartKeepsAggregationStateViaExternalCore) {
   // a blip: exporters reconnect and resume their sequence, the core's
   // dedup state survives, nothing is double-counted.
   CollectorConfig ccfg;
-  ccfg.um_cfg = um_config();
+  ccfg.um_cfg = small_univmon();
   ccfg.seed = kSeed;
   CollectorCore core(ccfg);
 
@@ -351,39 +303,35 @@ TEST(ExportE2e, CollectorRestartKeepsAggregationStateViaExternalCore) {
   ASSERT_TRUE(server->start());
   ep = server->endpoint();  // pin the kernel-assigned port for the restart
 
-  ExporterConfig ecfg;
-  ecfg.endpoint = ep;
-  ecfg.source_id = 1;
-  ecfg.connect_timeout_ms = 300;
-  ecfg.ack_timeout_ms = 800;
-  ecfg.backoff_base_ns = 500'000;
-  ecfg.backoff_max_ns = 5'000'000;
-  EpochExporter exporter(ecfg, univmon_coalescer(um_config(), kSeed));
-  exporter.start();
-
-  control::MeasurementDaemon::Tasks tasks;
-  control::MeasurementDaemon daemon(um_config(), vanilla_config(), tasks, kSeed);
-  daemon.set_export_sink([&exporter](control::ExportedEpoch&& e) {
-    exporter.publish(e.span, e.packets, std::move(e.snapshot));
-  });
+  auto cfg = testing::monitor_config(kSeed, ep, 1);
+  cfg.exporter->connect_timeout_ms = 300;
+  cfg.exporter->ack_timeout_ms = 800;
+  cfg.exporter->backoff_max_ns = 5'000'000;
+  MonitorRuntime rt(cfg);
+  (void)rt.restore();
 
   const auto stream = monitor_stream(1);
-  const std::size_t half = stream.size() / 2;
-  for (std::size_t i = 0; i < half; ++i) daemon.on_packet(stream[i].key);
-  (void)daemon.end_epoch();
-  ASSERT_TRUE(exporter.flush(10'000));
+  testing::feed_epoch(rt.hook(), stream, 0, 2);
+  (void)rt.close_epoch();
+  // Wait for the ack, not just the apply: an unacked epoch would be
+  // redelivered to the restarted server as a duplicate.
+  const auto& acked = rt.registry().counter("nitro_export_acked_epochs_total");
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (acked.value() < 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(acked.value(), 1u);
   EXPECT_EQ(core.epochs_applied(), 1u);
 
   // Restart: tear the server down (connections die) and bring a new one up
   // on the same port sharing the same core.
   server.reset();
-  for (std::size_t i = half; i < stream.size(); ++i) daemon.on_packet(stream[i].key);
-  (void)daemon.end_epoch();  // queued while the collector is down
+  testing::feed_epoch(rt.hook(), stream, 1, 2);
+  (void)rt.close_epoch();  // queued while the collector is down
   server = std::make_unique<CollectorServer>(core, ep);
   ASSERT_TRUE(server->start());
 
-  ASSERT_TRUE(exporter.flush(15'000));
-  exporter.stop();
+  ASSERT_TRUE(rt.shutdown(15'000));
   EXPECT_EQ(core.epochs_applied(), 2u);
   const auto sources = core.sources(1);
   ASSERT_EQ(sources.size(), 1u);

@@ -1,5 +1,5 @@
-// Seed generations on the wire and in the collector (wire v4, DESIGN.md
-// §16): the seed_gen field's roundtrip and pre-v4 compatibility, the
+// Seed generations on the wire and in the collector (DESIGN.md §16): the
+// seed_gen field's roundtrip, the
 // collector's one-generation-per-replica rules (reset on advance, drop
 // stale, fold only the newest generation), packet conservation across a
 // rotation, and the exporter's refusal to coalesce across a generation
@@ -101,27 +101,6 @@ TEST(GenerationWire, SeedGenerationRidesTheV4RecoverResponse) {
   EXPECT_EQ(back.seed_gen, 2u);
   EXPECT_EQ(back.snapshot, resp.snapshot);
 }
-
-TEST(GenerationWire, PreRotationV3FramesDecodeAsGenerationZero) {
-  // A v3 peer never wrote the field; its layout ends at send_ns + blob.
-  control::ByteWriter w;
-  w.put_u32(kEpochMsgMagic);
-  w.put_u32(3);
-  w.put_u64(9);   // source_id
-  w.put_u64(5);   // seq_first
-  w.put_u64(5);   // seq_last
-  w.put_u64(4);   // span.first
-  w.put_u64(4);   // span.last
-  w.put_i64(77);  // packets
-  w.put_u64(0);   // epoch_close_ns
-  w.put_u64(0);   // send_ns
-  w.put_blob({});
-  const EpochMessage back = decode_epoch(control::seal_frame(w.bytes()));
-  EXPECT_EQ(back.seed_gen, 0u);
-  EXPECT_EQ(back.packets, 77);
-}
-
-// --- Collector generation handling ----------------------------------------
 
 TEST(GenerationCollector, RotationResetsTheReplicaAndStaleGenerationsDrop) {
   CollectorCore core(rotating_collector_config());

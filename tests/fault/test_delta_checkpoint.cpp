@@ -22,6 +22,7 @@
 #include "sketch/univmon.hpp"
 #include "trace/ground_truth.hpp"
 #include "trace/workloads.hpp"
+#include "support/temp_path.hpp"
 
 namespace nitro::control {
 namespace {
@@ -29,9 +30,7 @@ namespace {
 using trace::flow_key_for_rank;
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = std::string(::testing::TempDir()) + "nitro_delta_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
+  return nitro::testing::fresh_temp_dir("nitro_delta_" + name);
 }
 
 std::vector<std::uint8_t> payload_of(const char* text) {

@@ -11,7 +11,6 @@
 // mid-burst, and mid-stream kDegrade probability drops — both must land
 // on the same packet for every backend.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
@@ -30,6 +29,7 @@
 #include "switchsim/measurement.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/workloads.hpp"
+#include "support/temp_path.hpp"
 
 namespace nitro::ingest {
 namespace {
@@ -53,14 +53,7 @@ trace::Trace test_trace(std::size_t packets = 50'000) {
   return trace::caida_like(spec);
 }
 
-std::string temp_file(const char* name) {
-  // ctest runs each TEST as its own process, possibly in parallel; key the
-  // path on the pid so concurrent fixtures never clobber each other's
-  // capture files.
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(::getpid()) + "_" + name))
-      .string();
-}
+std::string temp_file(const char* name) { return nitro::testing::unique_temp_path(name); }
 
 /// Drive `backend` to EOF through the run-to-completion loop, optionally
 /// splitting at the given packet offsets (epoch boundaries: flush +

@@ -18,6 +18,7 @@
 #include "switchsim/measurement.hpp"
 #include "switchsim/packet.hpp"
 #include "trace/workloads.hpp"
+#include "support/temp_path.hpp"
 
 namespace nitro::ingest {
 namespace {
@@ -98,8 +99,7 @@ TEST(FramePool, RejectsNonPowerOfTwoFrameSize) {
 }
 
 TEST(MmapFileTest, MapsAndReadsWholeFile) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "nitro_mmap_unit.bin").string();
+  const auto path = nitro::testing::unique_temp_path("nitro_mmap_unit.bin");
   std::vector<std::uint8_t> content(8192);
   for (std::size_t i = 0; i < content.size(); ++i)
     content[i] = static_cast<std::uint8_t>(i * 31);
@@ -119,8 +119,7 @@ TEST(MmapFileTest, MapsAndReadsWholeFile) {
 
 TEST(MmapFileTest, ThrowsOnMissingAndEmptyFiles) {
   EXPECT_THROW(MmapFile("/nonexistent/nope.bin"), std::runtime_error);
-  const auto path =
-      (std::filesystem::temp_directory_path() / "nitro_mmap_empty.bin").string();
+  const auto path = nitro::testing::unique_temp_path("nitro_mmap_empty.bin");
   { std::ofstream out(path, std::ios::binary); }
   EXPECT_THROW(MmapFile m(path), std::runtime_error);
   std::filesystem::remove(path);

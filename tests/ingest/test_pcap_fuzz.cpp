@@ -21,6 +21,7 @@
 #include "ingest/frame.hpp"
 #include "ingest/mmap_replay.hpp"
 #include "trace/workloads.hpp"
+#include "support/temp_path.hpp"
 
 namespace nitro::ingest {
 namespace {
@@ -221,9 +222,7 @@ TEST(PcapFuzz, WritePcapRoundTripsThroughCursor) {
   spec.flows = 20;
   spec.seed = 11;
   const auto stream = trace::caida_like(spec);
-  const auto path =
-      (std::filesystem::temp_directory_path() / "nitro_fuzz_roundtrip.pcap")
-          .string();
+  const auto path = nitro::testing::unique_temp_path("nitro_fuzz_roundtrip.pcap");
   write_pcap(path, stream);
 
   std::ifstream in(path, std::ios::binary);
@@ -249,9 +248,8 @@ TEST(PcapFuzz, WritePcapRoundTripsThroughCursor) {
 
 TEST(PcapFuzz, MmapReplayRejectsMalformedFilesAtConstruction) {
   namespace fs = std::filesystem;
-  const auto dir = fs::temp_directory_path();
   auto write_file = [&](const char* name, const std::vector<std::uint8_t>& v) {
-    const auto p = (dir / name).string();
+    const auto p = nitro::testing::unique_temp_path(name);
     std::ofstream out(p, std::ios::binary);
     out.write(reinterpret_cast<const char*>(v.data()),
               static_cast<std::streamsize>(v.size()));
@@ -272,7 +270,7 @@ TEST(PcapFuzz, MmapReplayRejectsMalformedFilesAtConstruction) {
   EXPECT_THROW(MmapReplayBackend b(p1), std::runtime_error);
   EXPECT_THROW(MmapReplayBackend b(p2), std::runtime_error);
   EXPECT_THROW(MmapReplayBackend b(p3), std::runtime_error);
-  EXPECT_THROW(MmapReplayBackend b((dir / "nitro_fuzz_missing.pcap").string()),
+  EXPECT_THROW(MmapReplayBackend b(nitro::testing::unique_temp_path("nitro_fuzz_missing.pcap")),
                std::runtime_error);
   for (const auto& p : {p1, p2, p3}) fs::remove(p);
 }

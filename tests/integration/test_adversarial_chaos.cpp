@@ -25,8 +25,8 @@
 #include <unordered_set>
 #include <vector>
 
-#include "control/checkpoint.hpp"
 #include "control/daemon.hpp"
+#include "control/monitor_runtime.hpp"
 #include "core/nitro_univmon.hpp"
 #include "core/seed_schedule.hpp"
 #include "export/collector.hpp"
@@ -35,6 +35,8 @@
 #include "shard/sharded_nitro.hpp"
 #include "sketch/anomaly.hpp"
 #include "sketch/univmon.hpp"
+#include "support/monitor_config.hpp"
+#include "support/temp_path.hpp"
 #include "telemetry/registry.hpp"
 #include "trace/adversary.hpp"
 #include "trace/workloads.hpp"
@@ -85,13 +87,6 @@ void feed_slice(Sketch& sk, const trace::Trace& t, int e) {
       sk.update(t[i].key);
     }
   }
-}
-
-std::string fresh_dir(const std::string& tag) {
-  const std::string dir =
-      std::string(::testing::TempDir()) + "nitro_chaos_" + tag;
-  std::filesystem::remove_all(dir);
-  return dir;
 }
 
 // ===========================================================================
@@ -166,60 +161,19 @@ TEST(AdversarialChaos, CollisionFloodCorruptsTheBaseSeedButNotARotatedOne) {
   EXPECT_GE(registry.counter("nitro_anomaly_alarms_total").value(), 1u);
 }
 
-/// One defended monitor incarnation: rotation-enabled daemon +
-/// chain-checkpointing store + exporter, wired like nitro_monitor with
-/// --master-key.  The export sink forwards the epoch's seed generation.
-struct DefendedMonitor {
-  control::MeasurementDaemon daemon;
-  control::CheckpointStore store;
-  xport::EpochExporter exporter;
-  std::uint64_t frames_since_full = 0;
-  std::vector<control::EpochReport> reports;
-
-  DefendedMonitor(int id, const std::string& dir, const xport::Endpoint& ep,
-                  const control::MeasurementDaemon::Tasks& tasks)
-      : daemon(um_config(), vanilla_config(), tasks, kSeed),
-        store(dir),
-        exporter(
-            [&] {
-              xport::ExporterConfig ecfg;
-              ecfg.endpoint = ep;
-              ecfg.source_id = static_cast<std::uint64_t>(id);
-              ecfg.connect_timeout_ms = 500;
-              ecfg.ack_timeout_ms = 1500;
-              ecfg.backoff_base_ns = 500'000;
-              ecfg.backoff_max_ns = 10'000'000;
-              return ecfg;
-            }(),
-            xport::univmon_coalescer(um_config(), schedule())) {
-    daemon.enable_seed_rotation(kMasterKey, kRotationEpochs);
-    daemon.enable_delta_checkpoints();
-  }
-
-  void start() {
-    exporter.start();
-    daemon.set_export_sink([this](control::ExportedEpoch&& e) {
-      exporter.publish(e.span, e.packets, std::move(e.snapshot), e.close_ns,
-                       e.seed_gen);
-    });
-  }
-
-  void close_epoch() { reports.push_back(daemon.end_epoch()); }
-
-  void save_frame() {
-    const bool want_full = !daemon.delta_ready() || frames_since_full >= 4;
-    const auto saved =
-        store.save_frame("daemon", want_full,
-                         want_full ? daemon.checkpoint_bytes()
-                                   : daemon.delta_checkpoint_bytes());
-    ASSERT_TRUE(saved.ok);
-    daemon.cut_checkpoint_frame();
-    frames_since_full = want_full ? 1 : frames_since_full + 1;
-  }
-
-  void drain() { ASSERT_TRUE(exporter.flush(30'000)); }
-  void shutdown() { exporter.stop(); }
-};
+/// One defended monitor incarnation, flagged like nitro_monitor
+/// --master-key K --rotate-epochs 2 --collision-alarm X --checkpoint-dir
+/// DIR --export-to EP.
+control::MonitorConfig defended_config(const std::string& dir, const xport::Endpoint& ep,
+                                       const control::MeasurementDaemon::Tasks& tasks) {
+  auto cfg = nitro::testing::monitor_config(kSeed, ep, 1);
+  cfg.univmon = um_config();
+  cfg.tasks = tasks;
+  cfg.master_key = kMasterKey;
+  cfg.rotate_epochs = kRotationEpochs;
+  cfg.checkpoint_dir = dir;
+  return cfg;
+}
 
 TEST(AdversarialChaos, DefendedPipelineSurvivesFloodCrashAndRotation) {
   const auto target = trace::adversary::univmon_level0_target(um_config(), kSeed);
@@ -251,7 +205,7 @@ TEST(AdversarialChaos, DefendedPipelineSurvivesFloodCrashAndRotation) {
   xport::CollectorServer server(core, *xport::parse_endpoint("tcp:127.0.0.1:0"));
   ASSERT_TRUE(server.start());
   const xport::Endpoint ep = server.endpoint();
-  const std::string dir = fresh_dir("flood");
+  const std::string dir = nitro::testing::fresh_temp_dir("nitro_chaos_flood");
 
   // Incarnation 1: epochs 0 and 1 (generation 0) export; the crash lands
   // inside the third end_epoch — after the epoch-2 delta frame hit disk,
@@ -260,53 +214,47 @@ TEST(AdversarialChaos, DefendedPipelineSurvivesFloodCrashAndRotation) {
     fault::Schedule plan;
     plan.crash_daemon_epoch(/*at_hit=*/3);
     fault::ScopedFaultInjection scoped(plan);
-    DefendedMonitor mon(1, dir, ep, tasks);
-    mon.start();
-    feed_slice(mon.daemon, flood.trace, 0);
-    mon.save_frame();
-    mon.close_epoch();  // -> seq 1, gen 0
-    feed_slice(mon.daemon, flood.trace, 1);
-    mon.save_frame();
-    mon.close_epoch();  // -> seq 2, gen 0; rotates the live seed to gen 1
-    feed_slice(mon.daemon, flood.trace, 2);
-    mon.save_frame();
-    EXPECT_THROW((void)mon.daemon.end_epoch(), control::DaemonCrash);
+    control::MonitorRuntime rt(defended_config(dir, ep, tasks));
+    ASSERT_EQ(rt.restore().source, control::RestoreSource::kNone);
+    std::vector<control::EpochReport> reports;
+    feed_slice(rt.daemon(), flood.trace, 0);
+    reports.push_back(rt.close_epoch());  // -> seq 1, gen 0
+    feed_slice(rt.daemon(), flood.trace, 1);
+    reports.push_back(rt.close_epoch());  // -> seq 2, gen 0; rotates to gen 1
+    feed_slice(rt.daemon(), flood.trace, 2);
+    EXPECT_THROW((void)rt.close_epoch(), control::DaemonCrash);
     EXPECT_EQ(plan.fired(fault::Site::kDaemonEpoch), 1u);
-    for (const auto& r : mon.reports) {
+    for (const auto& r : reports) {
       EXPECT_LT(r.collision_pressure, tasks.collision_alarm_threshold)
           << "epoch " << r.epoch;
       EXPECT_FALSE(r.anomaly_alarm) << "epoch " << r.epoch;
     }
-    mon.drain();
-    mon.shutdown();
+    EXPECT_EQ(nitro::testing::checkpoint_save_failures(rt), 0u);
+    ASSERT_TRUE(rt.shutdown(30'000));
   }
 
   // Incarnation 2: the checkpoint chain restores epoch 2 *and* its seed
   // generation — the replayed sketch must already be keyed under gen 1 or
   // every estimate after restore would be garbage.
   {
-    DefendedMonitor mon(1, dir, ep, tasks);
-    const auto chain = mon.store.load_chain("daemon");
-    ASSERT_TRUE(chain.found);
-    mon.daemon.restore_checkpoint(chain.base);
-    for (const auto& d : chain.deltas) mon.daemon.apply_delta_checkpoint(d);
-    ASSERT_EQ(mon.daemon.epoch(), 2u);
-    EXPECT_EQ(mon.daemon.seed_generation(), 1u);
-    EXPECT_EQ(mon.daemon.active_seed(), schedule().seed_for(1));
-    mon.exporter.set_next_seq(mon.daemon.epoch() + 1);
-    mon.start();
-    mon.close_epoch();  // re-close epoch 2 -> seq 3, gen 1
-    feed_slice(mon.daemon, flood.trace, 3);
-    mon.save_frame();
-    mon.close_epoch();  // -> seq 4, gen 1
-    for (const auto& r : mon.reports) {
+    control::MonitorRuntime rt(defended_config(dir, ep, tasks));
+    ASSERT_EQ(rt.restore().source, control::RestoreSource::kChain);
+    ASSERT_EQ(rt.daemon().epoch(), 2u);
+    EXPECT_EQ(rt.daemon().seed_generation(), 1u);
+    EXPECT_EQ(rt.daemon().active_seed(), schedule().seed_for(1));
+    std::vector<control::EpochReport> reports;
+    reports.push_back(rt.close_epoch());  // re-close epoch 2 -> seq 3, gen 1
+    feed_slice(rt.daemon(), flood.trace, 3);
+    reports.push_back(rt.close_epoch());  // -> seq 4, gen 1
+    for (const auto& r : reports) {
       EXPECT_LT(r.collision_pressure, tasks.collision_alarm_threshold);
       EXPECT_FALSE(r.anomaly_alarm);
     }
-    mon.drain();
-    mon.shutdown();
+    EXPECT_EQ(nitro::testing::checkpoint_save_failures(rt), 0u);
+    ASSERT_TRUE(rt.shutdown(30'000));
   }
   server.stop();
+  std::filesystem::remove_all(dir);
 
   // Exact accounting across crash + restore + rotation: all four epochs
   // applied once, one generation rotation, nothing double-counted.

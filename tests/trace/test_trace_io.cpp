@@ -9,13 +9,12 @@
 #include <fstream>
 
 #include "trace/workloads.hpp"
+#include "support/temp_path.hpp"
 
 namespace nitro::trace {
 namespace {
 
-std::string temp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+std::string temp_path(const char* name) { return nitro::testing::unique_temp_path(name); }
 
 class TraceIoTest : public ::testing::Test {
  protected:
@@ -114,7 +113,7 @@ TEST_F(TraceIoTest, FailedRewriteLeavesExistingTraceIntact) {
   // directory unwritable, which kills the tmp-file creation.
   if (::geteuid() == 0) GTEST_SKIP() << "directory permissions do not bind root";
   namespace fs = std::filesystem;
-  const auto dir = fs::temp_directory_path() / "nitro_trace_atomic_dir";
+  const fs::path dir = nitro::testing::unique_temp_path("nitro_trace_atomic_dir");
   fs::create_directory(dir);
   const auto path = (dir / "trace.ntr").string();
   const auto original = uniform_flows(500, 50, 5);

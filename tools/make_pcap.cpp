@@ -10,10 +10,9 @@
 //   make_pcap IN.ntr OUT.pcap [--micros]
 //   make_pcap --workload caida --packets N --flows N --seed N OUT.pcap
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "flags.hpp"
 #include "ingest/pcap.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/workloads.hpp"
@@ -27,26 +26,20 @@ int main(int argc, char** argv) {
   spec.flows = 1'000;
   bool micros = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--workload") {
-      workload = next();
-    } else if (arg == "--packets") {
-      spec.packets = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--flows") {
-      spec.flows = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--seed") {
-      spec.seed = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--micros") {
+  using tools::kMax;
+  for (tools::Flags f(argc, argv); f.next();) {
+    const std::string& arg = f.arg();
+    if (f.is("--workload")) {
+      workload = f.value();
+    } else if (f.is("--packets")) {
+      spec.packets = f.number<std::uint64_t>(1, kMax<std::uint64_t>);
+    } else if (f.is("--flows")) {
+      spec.flows = f.number<std::uint64_t>(1, kMax<std::uint64_t>);
+    } else if (f.is("--seed")) {
+      spec.seed = f.number<std::uint64_t>(0, kMax<std::uint64_t>);
+    } else if (f.is("--micros")) {
       micros = true;
-    } else if (arg == "--help" || arg == "-h") {
+    } else if (f.is("--help") || f.is("-h")) {
       std::fprintf(stderr,
                    "usage: %s IN.ntr OUT.pcap [--micros]\n"
                    "       %s --workload NAME [--packets N] [--flows N]"
@@ -54,8 +47,7 @@ int main(int argc, char** argv) {
                    argv[0], argv[0]);
       return 2;
     } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      return 2;
+      f.unknown();
     } else if (in_file.empty() && out_file.empty()) {
       in_file = arg;  // provisionally; shifts to out_file if it's the only one
     } else if (out_file.empty()) {

@@ -32,7 +32,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -40,6 +39,7 @@
 #include "common/flow_key.hpp"
 #include "export/collector.hpp"
 #include "export/query_server.hpp"
+#include "flags.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
 
@@ -82,79 +82,49 @@ void usage(const char* argv0) {
                argv0);
 }
 
-bool parse_args(int argc, char** argv, Options& opt) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (arg == "--listen") {
-      if (!(v = next())) return false;
-      opt.listen = v;
-    } else if (arg == "--seed") {
-      if (!(v = next())) return false;
-      opt.seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--hh-threshold") {
-      if (!(v = next())) return false;
-      opt.hh_threshold = std::atof(v);
-    } else if (arg == "--top") {
-      if (!(v = next())) return false;
-      opt.top = std::atoi(v);
-    } else if (arg == "--interval-ms") {
-      if (!(v = next())) return false;
-      opt.interval_ms = std::atoi(v);
-      if (opt.interval_ms < 10) opt.interval_ms = 10;
-    } else if (arg == "--staleness-ms") {
-      if (!(v = next())) return false;
-      opt.staleness_ms = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--run-for-ms") {
-      if (!(v = next())) return false;
-      opt.run_for_ms = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--stats-out") {
-      if (!(v = next())) return false;
-      opt.stats_out = v;
-    } else if (arg == "--stats-format") {
-      if (!(v = next())) return false;
-      opt.stats_format = v;
-      if (opt.stats_format != "prom" && opt.stats_format != "json") {
-        std::fprintf(stderr, "unknown stats format '%s' (want prom|json)\n", v);
-        return false;
-      }
-    } else if (arg == "--stats-interval") {
-      if (!(v = next())) return false;
-      opt.stats_interval_ms = std::atoi(v);
-      if (opt.stats_interval_ms < 10) opt.stats_interval_ms = 10;
-    } else if (arg == "--trace-out") {
-      if (!(v = next())) return false;
-      opt.trace_out = v;
-    } else if (arg == "--query-listen") {
-      if (!(v = next())) return false;
-      opt.query_listen = v;
-    } else if (arg == "--min-refresh-ms") {
-      if (!(v = next())) return false;
-      opt.min_refresh_ms = std::atoi(v);
-      if (opt.min_refresh_ms < 0) opt.min_refresh_ms = 0;
-    } else if (arg == "--master-key") {
-      if (!(v = next())) return false;
-      opt.master_key = std::strtoull(v, nullptr, 16);
-    } else if (arg == "--rotate-epochs") {
-      if (!(v = next())) return false;
-      opt.rotate_epochs = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return false;
+/// Exits 2 on any bad flag or value.
+Options parse_args(int argc, char** argv) {
+  using nitro::tools::kMax;
+  using nitro::tools::kPositive;
+  Options opt;
+  for (nitro::tools::Flags f(argc, argv); f.next();) {
+    if (f.is("--listen")) {
+      opt.listen = f.value();
+    } else if (f.is("--seed")) {
+      opt.seed = f.number<std::uint64_t>(0, kMax<std::uint64_t>);
+    } else if (f.is("--hh-threshold")) {
+      opt.hh_threshold = f.number(kPositive, 1.0);
+    } else if (f.is("--top")) {
+      opt.top = f.number(0, kMax<int>);
+    } else if (f.is("--interval-ms")) {
+      opt.interval_ms = f.number(10, kMax<int>);
+    } else if (f.is("--staleness-ms")) {
+      opt.staleness_ms = f.number<std::uint64_t>(1, kMax<std::uint64_t> / 1'000'000);
+    } else if (f.is("--run-for-ms")) {
+      opt.run_for_ms = f.number<std::uint64_t>(0, kMax<std::uint64_t> / 1'000'000);
+    } else if (f.is("--stats-out")) {
+      opt.stats_out = f.value();
+    } else if (f.is("--stats-format")) {
+      opt.stats_format = f.choice({"prom", "json"});
+    } else if (f.is("--stats-interval")) {
+      opt.stats_interval_ms = f.number(10, kMax<int>);
+    } else if (f.is("--trace-out")) {
+      opt.trace_out = f.value();
+    } else if (f.is("--query-listen")) {
+      opt.query_listen = f.value();
+    } else if (f.is("--min-refresh-ms")) {
+      opt.min_refresh_ms = f.number(0, kMax<int>);
+    } else if (f.is("--master-key")) {
+      opt.master_key = f.number<std::uint64_t>(0, kMax<std::uint64_t>, 16);
+    } else if (f.is("--rotate-epochs")) {
+      opt.rotate_epochs = f.number<std::uint64_t>(0, kMax<std::uint64_t>);
     } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       usage(argv[0]);
-      return false;
+      if (!f.is("--help") && !f.is("-h")) f.unknown();
+      std::exit(2);
     }
   }
-  return true;
+  return opt;
 }
 
 std::uint64_t now_ns() {
@@ -224,8 +194,7 @@ void print_view(const Options& opt, nitro::xport::CollectorCore& core) {
 int main(int argc, char** argv) {
   using namespace nitro;
 
-  Options opt;
-  if (!parse_args(argc, argv, opt)) return 2;
+  const Options opt = parse_args(argc, argv);
 
   const auto ep = xport::parse_endpoint(opt.listen);
   if (!ep) {

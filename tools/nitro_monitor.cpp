@@ -1,45 +1,42 @@
 // nitro_monitor — command-line flow-monitoring driver.
 //
-// Replays a workload (generated or loaded from a .ntr trace file) through
-// the OVS-DPDK-like switch pipeline with a NitroSketch/UnivMon measurement
-// daemon attached, splits it into epochs, and prints per-epoch reports:
-// heavy hitters, changed flows, entropy, distinct count, throughput.
-//
-// With --stats-out the full telemetry registry (per-stage cycle shares,
-// the sampling-probability timeline, ring/buffer counters, sampled update
-// cycle histogram) is snapshotted to a file in Prometheus text exposition
-// or JSON format.
+// Parses flags into a control::MonitorConfig, runs an ingest backend
+// through the MonitorRuntime's measurement hook (DESIGN.md §14-§15),
+// splits the run into epochs, and prints per-epoch reports: heavy
+// hitters, changed flows, entropy, distinct count, throughput.  The
+// runtime owns the data plane, the restore ladder, the checkpoint cadence
+// and the export wiring; this file only drives it.
 //
 // Usage:
-// With --workers N (N >= 2) the data plane is sharded: N NitroUnivMon
-// instances run on their own worker threads behind per-worker SPSC rings,
-// packets are dispatched by flow hash (RSS-style), and at each epoch
-// boundary the quiesced shards are merged into the daemon's data plane
-// before task estimation — the merged report is a coherent global view.
-//
-// Usage:
-//   nitro_monitor [--workload caida|dc|ddos|64b|uniform] [--trace FILE]
-//                 [--packets N] [--flows N] [--epochs N]
+//   nitro_monitor [--workload caida|dc|ddos|64b|uniform|churn|skewflip]
+//                 [--trace FILE] [--packets N] [--flows N] [--epochs N]
 //                 [--mode fixed|linerate|correct|vanilla] [--p PROB]
 //                 [--hh-threshold FRAC] [--top N] [--seed N]
-//                 [--save-trace FILE] [--separate-thread] [--workers N]
-//                 [--burst N] [--ingest synth|shim|pcap:FILE]
-//                 [--replay-loop N] [--paced]
+//                 [--save-trace FILE] [--workers N] [--burst N]
+//                 [--ingest synth|shim|pcap:FILE] [--replay-loop N] [--paced]
 //                 [--stats-out FILE] [--stats-format prom|json]
-//                 [--stats-interval N]
+//                 [--stats-interval N] ...  (see usage() for the rest)
 //
-// --burst N sets the pipeline's rx poll batch (default 32): parsed keys
-// reach the measurement hook in bursts of N through the sketch's
-// update_burst fast path; --burst 1 forces the scalar per-packet path.
+// --ingest picks the backend (default synth, the generated or --trace
+// workload held in memory): `pcap:FILE` mmap-replays a capture (pcap or
+// NTR1, by magic) with zero per-packet copies, `shim` runs the
+// AF_XDP-style burst-RX ring over hugepage frames.  The workload is only
+// built when the backend reads it.  --burst N sets the poll batch
+// (default 32; 1 forces the scalar per-packet path); --replay-loop walks
+// the source N times; --paced replays a capture at its own timestamp
+// spacing.
 //
-// --ingest replaces the materialize+OvsPipeline replay with a pluggable
-// zero-copy ingest backend driving a run-to-completion loop (DESIGN.md
-// §14): `pcap:FILE` mmap-replays a capture (pcap or NTR1, by magic) with
-// zero per-packet copies, `shim` runs the AF_XDP-style burst-RX ring over
-// hugepage frames, `synth` wraps the in-memory trace as a backend.  All
-// integrations (--workers, --separate-thread, inline) work unchanged.
-// --replay-loop walks the source N times; --paced replays a capture at
-// its own timestamp spacing.
+// With --workers N (N >= 2) the data plane is sharded: N NitroUnivMon
+// instances on their own worker threads behind per-worker SPSC rings,
+// packets dispatched by flow hash, merged into the daemon at each epoch
+// boundary — the report is a coherent global view.
+//
+// With --stats-out the telemetry registry (sampling-probability timeline,
+// shard/export/checkpoint counters, sampled update cycle histogram) is
+// snapshotted to a file in Prometheus text exposition or JSON format.
+//
+// Exit codes: 0 ok, 2 bad flags or setup, 3 --require-restore found
+// nothing to restore.
 //
 // Examples:
 //   nitro_monitor --workload caida --packets 4000000 --epochs 4 --p 0.01
@@ -50,31 +47,27 @@
 //                 --stats-out stats.json --stats-format json
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
-#include <span>
+#include <optional>
 #include <string>
 
-#include "common/hash.hpp"
 #include "common/timing.hpp"
-#include "control/checkpoint.hpp"
-#include "control/daemon.hpp"
-#include "export/exporter.hpp"
-#include "export/recovery.hpp"
+#include "control/monitor_runtime.hpp"
+#include "export/transport.hpp"
+#include "flags.hpp"
 #include "ingest/factory.hpp"
 #include "ingest/ingest_loop.hpp"
-#include "shard/shard_group.hpp"
-#include "switchsim/measurement.hpp"
-#include "switchsim/ovs_pipeline.hpp"
 #include "switchsim/packet.hpp"
-#include "switchsim/profile.hpp"
-#include "telemetry/accuracy.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/workloads.hpp"
 
 namespace {
+
+using nitro::tools::Flags;
+using nitro::tools::kMax;
+using nitro::tools::kPositive;
 
 struct Options {
   std::string workload = "caida";
@@ -83,47 +76,27 @@ struct Options {
   std::uint64_t packets = 2'000'000;
   std::uint64_t flows = 100'000;
   int epochs = 2;
-  std::string mode = "fixed";
-  double p = 0.01;
-  double hh_threshold = 0.0005;
   int top = 10;
-  std::uint64_t seed = 1;
-  bool separate_thread = false;
-  int workers = 1;
-  int burst = static_cast<int>(nitro::switchsim::kBurstSize);
-  std::string ingest;       // synth | shim | pcap:FILE (empty = pipeline replay)
-  int replay_loop = 1;
+  std::size_t burst = nitro::switchsim::kBurstSize;
+  std::string ingest = "synth";  // synth | shim | pcap:FILE
+  std::uint32_t replay_loop = 1;
   bool paced = false;
   std::string stats_out;
   std::string stats_format = "json";
   int stats_interval = 1;
-  std::string checkpoint_dir;
-  int checkpoint_full_every = 4;  // delta frames between full bases
-  bool require_restore = false;   // exit nonzero when nothing restorable
-  bool recover_from_collector = false;  // wire-v3 rejoin (needs --export-to)
-  std::string export_to;  // tcp:HOST:PORT or unix:PATH (empty = no export)
+  bool require_restore = false;   // exit 3 when nothing restorable
   std::uint64_t source_id = 1;
-  std::string trace_out;     // Chrome/Perfetto trace JSON (empty = no tracing)
-  int accuracy_sample = 0;   // reservoir size; 0 = observer off
-  // Adversarial hardening (DESIGN.md §16).  Rotation is on when
-  // rotate_epochs > 0; the master key keys every generation's seed
-  // derivation (generation 0 included), so it must match the collector's.
-  std::uint64_t master_key = 0;
-  std::uint64_t rotate_epochs = 0;
-  std::int64_t heap_margin = 0;   // TopKHeap churn-guard hysteresis
-  bool valve = false;             // flow-arrival admission valve (sharded plane)
-  double valve_threshold = 0.5;   // new-flow fraction that trips it
-  double collision_alarm = 0.0;   // collision-pressure alarm level (0 = off)
-  std::uint64_t eviction_alarm = 0;  // heap-churn alarm level (0 = off)
+  std::string trace_out;          // Chrome/Perfetto trace JSON (empty = off)
+  nitro::control::MonitorConfig rt;
 };
 
 void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--workload caida|dc|ddos|64b|uniform] [--trace FILE]\n"
-               "          [--packets N] [--flows N] [--epochs N]\n"
+               "usage: %s [--workload caida|dc|ddos|64b|uniform|churn|skewflip]\n"
+               "          [--trace FILE] [--packets N] [--flows N] [--epochs N]\n"
                "          [--mode fixed|linerate|correct|vanilla] [--p PROB]\n"
                "          [--hh-threshold FRAC] [--top N] [--seed N]\n"
-               "          [--save-trace FILE] [--separate-thread] [--workers N]\n"
+               "          [--save-trace FILE] [--workers N]\n"
                "          [--burst N] [--ingest synth|shim|pcap:FILE]\n"
                "          [--replay-loop N] [--paced]\n"
                "          [--stats-out FILE] [--stats-format prom|json]\n"
@@ -138,225 +111,139 @@ void usage(const char* argv0) {
                argv0);
 }
 
-bool parse_args(int argc, char** argv, Options& opt) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (arg == "--workload") {
-      if (!(v = next())) return false;
-      opt.workload = v;
-    } else if (arg == "--trace") {
-      if (!(v = next())) return false;
-      opt.trace_file = v;
-    } else if (arg == "--save-trace") {
-      if (!(v = next())) return false;
-      opt.save_trace = v;
-    } else if (arg == "--packets") {
-      if (!(v = next())) return false;
-      opt.packets = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--flows") {
-      if (!(v = next())) return false;
-      opt.flows = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--epochs") {
-      if (!(v = next())) return false;
-      opt.epochs = std::atoi(v);
-    } else if (arg == "--mode") {
-      if (!(v = next())) return false;
-      opt.mode = v;
-    } else if (arg == "--p") {
-      if (!(v = next())) return false;
-      opt.p = std::atof(v);
-    } else if (arg == "--hh-threshold") {
-      if (!(v = next())) return false;
-      opt.hh_threshold = std::atof(v);
-    } else if (arg == "--top") {
-      if (!(v = next())) return false;
-      opt.top = std::atoi(v);
-    } else if (arg == "--seed") {
-      if (!(v = next())) return false;
-      opt.seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--separate-thread") {
-      opt.separate_thread = true;
-    } else if (arg == "--workers") {
-      if (!(v = next())) return false;
-      opt.workers = std::atoi(v);
-      if (opt.workers < 1) {
-        std::fprintf(stderr, "--workers must be >= 1\n");
-        return false;
-      }
-    } else if (arg == "--burst") {
-      if (!(v = next())) return false;
-      opt.burst = std::atoi(v);
-      if (opt.burst < 1) {
-        std::fprintf(stderr, "--burst must be >= 1\n");
-        return false;
-      }
-    } else if (arg == "--ingest") {
-      if (!(v = next())) return false;
-      opt.ingest = v;
-    } else if (arg == "--replay-loop") {
-      if (!(v = next())) return false;
-      opt.replay_loop = std::atoi(v);
-      if (opt.replay_loop < 1) {
-        std::fprintf(stderr, "--replay-loop must be >= 1\n");
-        return false;
-      }
-    } else if (arg == "--paced") {
-      opt.paced = true;
-    } else if (arg == "--stats-out") {
-      if (!(v = next())) return false;
-      opt.stats_out = v;
-    } else if (arg == "--stats-format") {
-      if (!(v = next())) return false;
-      opt.stats_format = v;
-      if (opt.stats_format != "prom" && opt.stats_format != "json") {
-        std::fprintf(stderr, "unknown stats format '%s' (want prom|json)\n", v);
-        return false;
-      }
-    } else if (arg == "--stats-interval") {
-      if (!(v = next())) return false;
-      opt.stats_interval = std::atoi(v);
-      if (opt.stats_interval < 1) opt.stats_interval = 1;
-    } else if (arg == "--checkpoint-dir") {
-      if (!(v = next())) return false;
-      opt.checkpoint_dir = v;
-    } else if (arg == "--checkpoint-full-every") {
-      if (!(v = next())) return false;
-      opt.checkpoint_full_every = std::atoi(v);
-      if (opt.checkpoint_full_every < 1) {
-        std::fprintf(stderr, "--checkpoint-full-every must be >= 1\n");
-        return false;
-      }
-    } else if (arg == "--require-restore") {
-      opt.require_restore = true;
-    } else if (arg == "--recover-from-collector") {
-      opt.recover_from_collector = true;
-    } else if (arg == "--export-to") {
-      if (!(v = next())) return false;
-      opt.export_to = v;
-    } else if (arg == "--source-id") {
-      if (!(v = next())) return false;
-      opt.source_id = std::strtoull(v, nullptr, 10);
-      if (opt.source_id == 0) {
-        std::fprintf(stderr, "--source-id must be >= 1\n");
-        return false;
-      }
-    } else if (arg == "--trace-out") {
-      if (!(v = next())) return false;
-      opt.trace_out = v;
-    } else if (arg == "--accuracy-sample") {
-      if (!(v = next())) return false;
-      opt.accuracy_sample = std::atoi(v);
-      if (opt.accuracy_sample < 0) opt.accuracy_sample = 0;
-    } else if (arg == "--master-key") {
-      if (!(v = next())) return false;
-      opt.master_key = std::strtoull(v, nullptr, 16);
-    } else if (arg == "--rotate-epochs") {
-      if (!(v = next())) return false;
-      opt.rotate_epochs = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--heap-margin") {
-      if (!(v = next())) return false;
-      opt.heap_margin = std::strtoll(v, nullptr, 10);
-      if (opt.heap_margin < 0) {
-        std::fprintf(stderr, "--heap-margin must be >= 0\n");
-        return false;
-      }
-    } else if (arg == "--valve") {
-      opt.valve = true;
-    } else if (arg == "--valve-threshold") {
-      if (!(v = next())) return false;
-      opt.valve_threshold = std::atof(v);
-      if (opt.valve_threshold <= 0.0 || opt.valve_threshold > 1.0) {
-        std::fprintf(stderr, "--valve-threshold must be in (0, 1]\n");
-        return false;
-      }
-    } else if (arg == "--collision-alarm") {
-      if (!(v = next())) return false;
-      opt.collision_alarm = std::atof(v);
-    } else if (arg == "--eviction-alarm") {
-      if (!(v = next())) return false;
-      opt.eviction_alarm = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return false;
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      usage(argv[0]);
-      return false;
-    }
-  }
-  return true;
-}
-
 nitro::core::Mode mode_of(const std::string& name) {
   using nitro::core::Mode;
-  if (name == "fixed") return Mode::kFixedRate;
   if (name == "linerate") return Mode::kAlwaysLineRate;
   if (name == "correct") return Mode::kAlwaysCorrect;
   if (name == "vanilla") return Mode::kVanilla;
-  std::fprintf(stderr, "unknown mode '%s', using fixed\n", name.c_str());
   return Mode::kFixedRate;
 }
 
-/// Sketch-shaped adapter so the standard Measurement hooks (inline or
-/// separate-thread) can drive the daemon's data plane.
-struct DaemonSketchAdapter {
-  nitro::control::MeasurementDaemon* daemon = nullptr;
-  void update(const nitro::FlowKey& key, std::int64_t /*count*/,
-              std::uint64_t ts_ns) {
-    daemon->on_packet(key, ts_ns);
-  }
-  // Burst entry point: InlineMeasurement detects it and routes whole rx
-  // bursts into NitroUnivMon::update_burst.
-  void update_burst(std::span<const nitro::FlowKey> keys, std::uint64_t ts_ns) {
-    daemon->on_burst(keys, ts_ns);
-  }
-};
-
-/// --workers N data plane: the pipeline thread dispatches into the shard
-/// group's rings; finish() is the per-epoch drain barrier.
-class ShardedDaemonMeasurement final : public nitro::switchsim::Measurement {
- public:
-  /// `accuracy` (may be null) is fed from the dispatch thread — the only
-  /// place in the sharded integration that still sees every packet — so
-  /// the exact reservoir matches the post-merge global sketch.
-  ShardedDaemonMeasurement(nitro::shard::ShardGroup<nitro::core::NitroUnivMon>& group,
-                           nitro::telemetry::AccuracyObserver* accuracy)
-      : group_(group), accuracy_(accuracy) {}
-
-  void on_packet(const nitro::FlowKey& key, std::uint16_t, std::uint64_t ts_ns) override {
-    group_.update(key, 1, ts_ns);
-    if (accuracy_ != nullptr) accuracy_->observe(key);
-  }
-
-  void on_burst(const nitro::FlowKey* keys, const std::uint16_t*, std::size_t n,
-                std::uint64_t ts_ns) override {
-    group_.update_burst(std::span<const nitro::FlowKey>(keys, n), 1, ts_ns);
-    if (accuracy_ != nullptr) {
-      accuracy_->observe_burst(std::span<const nitro::FlowKey>(keys, n));
+/// Exits 2 on any bad flag or value.
+Options parse_args(int argc, char** argv) {
+  Options opt;
+  auto& rt = opt.rt;
+  for (Flags f(argc, argv); f.next();) {
+    if (f.is("--workload")) {
+      opt.workload = f.choice({"caida", "dc", "datacenter", "ddos", "64b", "minsized",
+                               "uniform", "churn", "skewflip"});
+    } else if (f.is("--trace")) {
+      opt.trace_file = f.value();
+    } else if (f.is("--save-trace")) {
+      opt.save_trace = f.value();
+    } else if (f.is("--packets")) {
+      opt.packets = f.number<std::uint64_t>(1, kMax<std::uint64_t>);
+    } else if (f.is("--flows")) {
+      opt.flows = f.number<std::uint64_t>(1, kMax<std::uint64_t>);
+    } else if (f.is("--epochs")) {
+      opt.epochs = f.number(1, 1'000'000);
+    } else if (f.is("--mode")) {
+      rt.nitro.mode = mode_of(f.choice({"fixed", "linerate", "correct", "vanilla"}));
+    } else if (f.is("--p")) {
+      rt.nitro.probability = f.number(kPositive, 1.0);
+    } else if (f.is("--hh-threshold")) {
+      rt.tasks.hh_fraction = rt.tasks.change_fraction = f.number(kPositive, 1.0);
+    } else if (f.is("--top")) {
+      opt.top = f.number(0, kMax<int>);
+    } else if (f.is("--seed")) {
+      rt.seed = f.number<std::uint64_t>(0, kMax<std::uint64_t>);
+    } else if (f.is("--workers")) {
+      rt.workers = f.number<std::uint32_t>(1, 1024);
+    } else if (f.is("--burst")) {
+      opt.burst = f.number<std::size_t>(1, nitro::ingest::IngestLoop::kMaxBurst);
+    } else if (f.is("--ingest")) {
+      opt.ingest = f.value();
+    } else if (f.is("--replay-loop")) {
+      opt.replay_loop = f.number<std::uint32_t>(1, 1'000'000);
+    } else if (f.is("--paced")) {
+      opt.paced = true;
+    } else if (f.is("--stats-out")) {
+      opt.stats_out = f.value();
+    } else if (f.is("--stats-format")) {
+      opt.stats_format = f.choice({"prom", "json"});
+    } else if (f.is("--stats-interval")) {
+      opt.stats_interval = f.number(1, kMax<int>);
+    } else if (f.is("--checkpoint-dir")) {
+      rt.checkpoint_dir = f.value();
+    } else if (f.is("--checkpoint-full-every")) {
+      rt.checkpoint_full_every = f.number<std::uint64_t>(1, kMax<std::uint64_t>);
+    } else if (f.is("--require-restore")) {
+      opt.require_restore = true;
+    } else if (f.is("--recover-from-collector")) {
+      rt.recover_from_collector = true;
+    } else if (f.is("--export-to")) {
+      const std::string spec = f.value();
+      const auto ep = nitro::xport::parse_endpoint(spec);
+      if (!ep) {
+        Flags::fail("bad --export-to spec '" + spec + "' (want tcp:HOST:PORT or unix:PATH)");
+      }
+      rt.exporter.emplace().endpoint = *ep;
+    } else if (f.is("--source-id")) {
+      opt.source_id = f.number<std::uint64_t>(1, kMax<std::uint64_t>);
+    } else if (f.is("--trace-out")) {
+      opt.trace_out = f.value();
+    } else if (f.is("--accuracy-sample")) {
+      rt.accuracy_sample = f.number<std::size_t>(0, std::size_t{1} << 24);
+    } else if (f.is("--master-key")) {
+      rt.master_key = f.number<std::uint64_t>(0, kMax<std::uint64_t>, 16);
+    } else if (f.is("--rotate-epochs")) {
+      rt.rotate_epochs = f.number<std::uint64_t>(0, kMax<std::uint64_t>);
+    } else if (f.is("--heap-margin")) {
+      rt.univmon.heap_margin = f.number<std::int64_t>(0, kMax<std::int64_t>);
+    } else if (f.is("--valve")) {
+      rt.valve.enabled = true;
+    } else if (f.is("--valve-threshold")) {
+      rt.valve.new_flow_threshold = f.number(kPositive, 1.0);
+    } else if (f.is("--collision-alarm")) {
+      rt.tasks.collision_alarm_threshold = f.number(0.0, kMax<double>);
+    } else if (f.is("--eviction-alarm")) {
+      rt.tasks.eviction_alarm_threshold = f.number<std::uint64_t>(0, kMax<std::uint64_t>);
+    } else {
+      usage(argv[0]);
+      if (!f.is("--help") && !f.is("-h")) f.unknown();
+      std::exit(2);
     }
   }
-
-  void finish() override { group_.drain(); }
-
- private:
-  nitro::shard::ShardGroup<nitro::core::NitroUnivMon>& group_;
-  nitro::telemetry::AccuracyObserver* accuracy_;
-};
+  if (rt.exporter) rt.exporter->source_id = opt.source_id;
+  return opt;
+}
 
 void write_stats(const Options& opt, nitro::telemetry::Registry& registry) {
-  const std::string text = opt.stats_format == "prom"
-                               ? nitro::telemetry::to_prometheus(registry)
-                               : nitro::telemetry::to_json(registry);
+  const std::string text = opt.stats_format == "prom" ? nitro::telemetry::to_prometheus(registry)
+                                                      : nitro::telemetry::to_json(registry);
   if (!nitro::telemetry::write_file(opt.stats_out, text)) {
     std::fprintf(stderr, "failed to write %s\n", opt.stats_out.c_str());
+  }
+}
+
+void print_report(const Options& opt, const nitro::control::EpochReport& report,
+                  double seconds) {
+  std::printf("\n=== epoch %llu: %lld packets in %.2fs (%.2f Mpps) ===\n",
+              static_cast<unsigned long long>(report.epoch),
+              static_cast<long long>(report.packets), seconds,
+              static_cast<double>(report.packets) / seconds / 1e6);
+  std::printf("entropy %.3f bits | distinct ~%.0f flows | %zu heavy hitters |"
+              " %zu changed flows\n",
+              report.entropy, report.distinct, report.heavy_hitters.size(),
+              report.changed_flows.size());
+  if (opt.rt.accuracy_sample > 0 && report.accuracy.tracked_flows > 0) {
+    const auto& a = report.accuracy;
+    std::printf("accuracy: %zu tracked | mean err %.1f | max err %.1f |"
+                " bound %.1f (x%.2f degrade) | %s\n",
+                a.tracked_flows, a.mean_abs_error, a.max_abs_error, a.bound, a.inflation,
+                a.within_bound ? "WITHIN BOUND" : "BOUND EXCEEDED");
+  }
+  int shown = 0;
+  for (const auto& h : report.heavy_hitters) {
+    if (shown++ >= opt.top) break;
+    std::printf("  HH  %-44s %10lld\n", to_string(h.key).c_str(),
+                static_cast<long long>(h.estimate));
+  }
+  shown = 0;
+  for (const auto& c : report.changed_flows) {
+    if (shown++ >= opt.top) break;
+    std::printf("  CHG %-44s %+10lld\n", to_string(c.key).c_str(),
+                static_cast<long long>(c.estimate));
   }
 }
 
@@ -365,498 +252,141 @@ void write_stats(const Options& opt, nitro::telemetry::Registry& registry) {
 int main(int argc, char** argv) {
   using namespace nitro;
 
-  Options opt;
-  if (!parse_args(argc, argv, opt)) return 2;
-  if (opt.rotate_epochs > 0 && opt.workers > 1) {
-    // Shard instances hold one fixed UnivMon seed for the run; merging
-    // them into a daemon whose seed rotates per generation would cross
-    // hash functions.  Per-shard rotation is future work.
-    std::fprintf(stderr,
-                 "--rotate-epochs is not yet supported with --workers > 1\n");
+  Options opt = parse_args(argc, argv);
+
+  // The workload is built only when the backend reads it (or it is to be
+  // saved): a capture replay never pays for a generated trace.
+  trace::Trace stream;
+  const bool reads_trace = opt.ingest == "synth" || opt.ingest == "shim";
+  try {
+    if (reads_trace || !opt.save_trace.empty()) {
+      if (!opt.trace_file.empty()) {
+        std::printf("loading trace %s...\n", opt.trace_file.c_str());
+        stream = trace::load_trace(opt.trace_file);
+      } else {
+        trace::WorkloadSpec spec;
+        spec.packets = opt.packets;
+        spec.flows = opt.flows;
+        spec.seed = opt.rt.seed;
+        std::printf("generating %s workload: %llu packets, %llu flows...\n",
+                    opt.workload.c_str(), static_cast<unsigned long long>(spec.packets),
+                    static_cast<unsigned long long>(spec.flows));
+        stream = trace::by_name(opt.workload, spec);
+      }
+    }
+    if (!opt.save_trace.empty()) {
+      trace::save_trace(opt.save_trace, stream);
+      std::printf("saved trace to %s\n", opt.save_trace.c_str());
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "trace: %s\n", e.what());
     return 2;
   }
-
-  trace::Trace stream;
-  if (!opt.trace_file.empty()) {
-    std::printf("loading trace %s...\n", opt.trace_file.c_str());
-    stream = trace::load_trace(opt.trace_file);
-  } else {
-    trace::WorkloadSpec spec;
-    spec.packets = opt.packets;
-    spec.flows = opt.flows;
-    spec.seed = opt.seed;
-    std::printf("generating %s workload: %llu packets, %llu flows...\n",
-                opt.workload.c_str(), static_cast<unsigned long long>(spec.packets),
-                static_cast<unsigned long long>(spec.flows));
-    stream = trace::by_name(opt.workload, spec);
-  }
-  if (!opt.save_trace.empty()) {
-    trace::save_trace(opt.save_trace, stream);
-    std::printf("saved trace to %s\n", opt.save_trace.c_str());
-  }
-  if (stream.empty() || opt.epochs < 1) {
+  if (reads_trace && stream.empty()) {
     std::fprintf(stderr, "nothing to do\n");
     return 2;
   }
 
-  // --ingest: build the backend up front so its preferred prefetch
-  // distance can be baked into the sketch config the daemon is built
-  // with.  (The shim's producer thread starts here; it parks on its
-  // bounded rings until the epoch loop begins draining.)
+  // The backend comes first so its preferred prefetch distance can be
+  // baked into the sketch config.  (The shim's producer thread starts
+  // here; it parks on its bounded rings until the epoch loop drains.)
   std::unique_ptr<ingest::IngestBackend> backend;
-  if (!opt.ingest.empty()) {
-    ingest::BackendOptions bopts;
-    bopts.replay_loop = static_cast<std::uint32_t>(opt.replay_loop);
-    bopts.paced = opt.paced;
-    try {
-      backend = ingest::make_backend(opt.ingest, stream, bopts);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "ingest: %s\n", e.what());
-      return 2;
-    }
-    std::printf("ingest backend: %s (%llu packets expected)\n", backend->name(),
-                static_cast<unsigned long long>(backend->size_hint()));
+  ingest::BackendOptions bopts;
+  bopts.replay_loop = opt.replay_loop;
+  bopts.paced = opt.paced;
+  try {
+    backend = ingest::make_backend(opt.ingest, stream, bopts);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "ingest: %s\n", e.what());
+    return 2;
   }
+  std::printf("ingest backend: %s (%llu packets expected)\n", backend->name(),
+              static_cast<unsigned long long>(backend->size_hint()));
+  opt.rt.nitro.prefetch_window = backend->preferred_prefetch_window();
 
-  sketch::UnivMonConfig um_cfg;
-  um_cfg.levels = 16;
-  um_cfg.depth = 5;
-  um_cfg.top_width = 10000;
-  um_cfg.heap_capacity = 1000;
-  um_cfg.heap_margin = opt.heap_margin;
-
-  core::NitroConfig nitro_cfg;
-  nitro_cfg.mode = mode_of(opt.mode);
-  nitro_cfg.probability = opt.p;
-  if (backend) nitro_cfg.prefetch_window = backend->preferred_prefetch_window();
-
-  control::MeasurementDaemon::Tasks tasks;
-  tasks.hh_fraction = opt.hh_threshold;
-  tasks.change_fraction = opt.hh_threshold;
-  tasks.collision_alarm_threshold = opt.collision_alarm;
-  tasks.eviction_alarm_threshold = opt.eviction_alarm;
-
-  control::MeasurementDaemon daemon(um_cfg, nitro_cfg, tasks, opt.seed);
-  if (opt.rotate_epochs > 0) {
-    // Keyed epoch-boundary seed rotation (DESIGN.md §16): must be enabled
-    // on the fresh daemon, before any restore — checkpoint v2 frames are
-    // generation-tagged and validated against this schedule.
-    daemon.enable_seed_rotation(opt.master_key, opt.rotate_epochs);
+  if (opt.rt.rotate_epochs > 0) {
     std::printf("seed rotation: every %llu epoch(s), keyed derivation\n",
-                static_cast<unsigned long long>(opt.rotate_epochs));
+                static_cast<unsigned long long>(opt.rt.rotate_epochs));
+  }
+  if (opt.rt.workers > 1) {
+    std::printf("sharded data plane: %u workers, flow-hash dispatch\n", opt.rt.workers);
+    if (opt.rt.valve.enabled) {
+      std::printf("admission valve: on (new-flow fraction > %.2f trips)\n",
+                  opt.rt.valve.new_flow_threshold);
+    }
   }
 
-  telemetry::Registry registry;
-  daemon.attach_telemetry(registry);
-
-  // Span tracing (--trace-out): install a process-wide tracer; every
-  // lifecycle site (ingest, burst flush, shard drain/merge, snapshot,
-  // checkpoint, export enqueue, wire send) records into it, and the
-  // retained spans are written as Chrome/Perfetto-loadable JSON at exit.
+  // Declared before the runtime so the runtime (and its exporter thread,
+  // which records wire-send spans) is gone before the tracer is.
   std::unique_ptr<telemetry::Tracer> tracer;
+  std::optional<control::MonitorRuntime> rt;
+  try {
+    rt.emplace(opt.rt);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
+  telemetry::Registry& registry = rt->registry();
+
+  // Span tracing (--trace-out): every lifecycle site (ingest, burst flush,
+  // shard drain/merge, snapshot, checkpoint, export enqueue, wire send)
+  // records into a process-wide tracer, written as Chrome/Perfetto JSON
+  // at exit.
   if (!opt.trace_out.empty()) {
     tracer = std::make_unique<telemetry::Tracer>();
     tracer->attach_telemetry(registry, "nitro_trace");
-    tracer->set_context(opt.source_id, daemon.epoch());
+    tracer->set_context(opt.source_id, rt->daemon().epoch());
     telemetry::install_tracer(tracer.get());
   }
 
-  // Online accuracy observer (--accuracy-sample N): exact-count a hash
-  // sample of flows and compare against the sketch each epoch.
-  std::unique_ptr<telemetry::AccuracyObserver> accuracy;
-  if (opt.accuracy_sample > 0) {
-    accuracy = std::make_unique<telemetry::AccuracyObserver>(
-        nitro_cfg.epsilon, /*sample_bits=*/6,
-        static_cast<std::size_t>(opt.accuracy_sample));
-    accuracy->attach_telemetry(registry, "nitro_univmon");
-    daemon.set_accuracy_observer(accuracy.get());
-  }
-
-  // Crash-safe operation (DESIGN.md §15): restore the daemon from the
-  // delta-checkpoint chain (newest valid full base + contiguous deltas,
-  // skipping torn/corrupt tail frames), falling back to the legacy
-  // two-generation store, falling back — when --recover-from-collector —
-  // to rebuilding from the collector's replica over the wire.  Corruption
-  // is reported loudly, never silently loaded.
-  //
-  // restore_source codes (also exported as a gauge): 0 = nothing
-  // restored, 1 = legacy current, 2 = legacy previous generation,
-  // 3 = delta chain, 4 = collector replica.
-  std::unique_ptr<control::CheckpointStore> ckpt;
-  telemetry::Counter& restore_failures = registry.counter(
-      "nitro_checkpoint_restore_failures_total",
-      "checkpoint frames or restore attempts rejected at startup");
-  telemetry::Gauge& restore_source_gauge = registry.gauge(
-      "nitro_checkpoint_restore_source",
-      "what seeded the daemon: 0 none, 1 full, 2 previous, 3 chain, 4 collector");
-  int restore_source = 0;
-  std::uint64_t recovered_last_seq = 0;  // collector's settled seq (source 4)
-  if (!opt.checkpoint_dir.empty()) {
-    try {
-      ckpt = std::make_unique<control::CheckpointStore>(opt.checkpoint_dir);
-      ckpt->attach_telemetry(registry, "nitro_checkpoint");
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "checkpoint: %s\n", e.what());
-      return 2;
-    }
-    daemon.enable_delta_checkpoints();
-
-    const auto chain = ckpt->load_chain("daemon");
-    if (chain.frames_rejected > 0) {
-      restore_failures.inc(chain.frames_rejected);
-      std::fprintf(stderr,
-                   "checkpoint: %llu torn/corrupt chain frame(s) rejected (%s)\n",
-                   static_cast<unsigned long long>(chain.frames_rejected),
-                   chain.error.c_str());
-    }
-    if (chain.found) {
-      try {
-        daemon.restore_checkpoint(chain.base);
-        restore_source = 3;
-      } catch (const std::exception& e) {
-        restore_failures.inc();
-        std::fprintf(stderr, "checkpoint: chain base restore FAILED (%s)\n",
-                     e.what());
-      }
-      if (restore_source == 3) {
-        std::size_t applied = 0;
-        for (const auto& d : chain.deltas) {
-          try {
-            daemon.apply_delta_checkpoint(d);
-            ++applied;
-          } catch (const std::exception& e) {
-            // The earlier frames already restored a consistent state;
-            // keep it and drop the rest of the chain.
-            restore_failures.inc();
-            std::fprintf(stderr,
-                         "checkpoint: delta frame rejected (%s); keeping the "
-                         "state restored so far\n",
-                         e.what());
-            break;
-          }
-        }
-        std::printf("checkpoint: restored epoch %llu from chain "
-                    "(base %llu + %zu delta(s))\n",
-                    static_cast<unsigned long long>(daemon.epoch()),
-                    static_cast<unsigned long long>(chain.base_gen), applied);
-      }
-    }
-
-    if (restore_source == 0) {
-      const auto restored = ckpt->load("daemon");
-      if (restored.current_rejected) {
-        restore_failures.inc();
-        std::fprintf(stderr, "checkpoint: CORRUPT checkpoint rejected (%s)\n",
-                     restored.error.c_str());
-      }
-      if (restored.source != control::CheckpointStore::Source::kNone) {
-        try {
-          daemon.restore_checkpoint(restored.payload);
-          restore_source =
-              restored.source == control::CheckpointStore::Source::kCurrent ? 1
-                                                                            : 2;
-          std::printf("checkpoint: restored epoch %llu from %s\n",
-                      static_cast<unsigned long long>(daemon.epoch()),
-                      restore_source == 1 ? "current" : "previous generation");
-        } catch (const std::exception& e) {
-          restore_failures.inc();
-          std::fprintf(stderr,
-                       "checkpoint: restore FAILED (%s); starting fresh\n",
-                       e.what());
-        }
-      } else if (!restored.error.empty()) {
-        std::fprintf(stderr,
-                     "checkpoint: no usable checkpoint (%s); starting fresh\n",
-                     restored.error.c_str());
-      }
-    }
-  }
-
-  // Rebuild-from-collector (wire v3): with no usable local state, ask the
-  // collector for its last-applied replica and resume exporting after its
-  // settled sequence number — the merged view never double-counts.
-  if (restore_source == 0 && opt.recover_from_collector) {
-    const auto recover_ep = xport::parse_endpoint(opt.export_to);
-    if (!recover_ep) {
-      std::fprintf(stderr,
-                   "--recover-from-collector needs a valid --export-to\n");
-      return 2;
-    }
-    const auto rec = xport::request_recovery(*recover_ep, opt.source_id,
-                                             /*timeout_ms=*/2000,
-                                             /*attempts=*/4);
-    if (!rec.ok) {
-      restore_failures.inc();
-      std::fprintf(stderr, "recover: %s\n", rec.error.c_str());
-    } else if (!rec.resp.found) {
-      std::printf("recover: collector has no state for source %llu; "
-                  "starting fresh\n",
-                  static_cast<unsigned long long>(opt.source_id));
-    } else {
-      try {
-        daemon.seed_from_recovery(rec.resp.span.last + 1, rec.resp.snapshot,
-                                  rec.resp.packets, rec.resp.seed_gen);
-        recovered_last_seq = rec.resp.last_seq;
-        restore_source = 4;
-        std::printf("recover: seeded from collector replica (epochs %llu..%llu,"
-                    " seq settled at %llu)\n",
-                    static_cast<unsigned long long>(rec.resp.span.first),
-                    static_cast<unsigned long long>(rec.resp.span.last),
-                    static_cast<unsigned long long>(rec.resp.last_seq));
-      } catch (const std::exception& e) {
-        restore_failures.inc();
-        std::fprintf(stderr, "recover: replica rejected (%s)\n", e.what());
-      }
-    }
-  }
-  restore_source_gauge.set(static_cast<double>(restore_source));
-  if (opt.require_restore && restore_source == 0) {
+  const control::Restored restored = rt->restore();
+  if (opt.require_restore && restored.source == control::RestoreSource::kNone) {
     std::fprintf(stderr,
-                 "--require-restore: no checkpoint or collector state could "
-                 "be restored\n");
+                 "--require-restore: no checkpoint or collector state could be restored\n");
     return 3;
   }
-
-  // Resilient epoch export: every closed epoch's sketch snapshot streams
-  // to a collector, surviving a slow/dead/flapping peer via retry with
-  // backoff, a circuit breaker, and backlog coalescing (never blocking
-  // the epoch loop, never dropping an epoch).
-  std::unique_ptr<xport::EpochExporter> exporter;
-  if (!opt.export_to.empty()) {
-    const auto export_ep = xport::parse_endpoint(opt.export_to);
-    if (!export_ep) {
-      std::fprintf(stderr,
-                   "bad --export-to spec '%s' (want tcp:HOST:PORT or unix:PATH)\n",
-                   opt.export_to.c_str());
-      return 2;
-    }
-    xport::ExporterConfig ecfg;
-    ecfg.endpoint = *export_ep;
-    ecfg.source_id = opt.source_id;
-    // With rotation on, backlog coalescing must be generation-aware:
-    // frames from different seed generations hash differently and are
-    // never merged (the schedule-taking coalescer enforces that).
-    exporter = std::make_unique<xport::EpochExporter>(
-        ecfg, opt.rotate_epochs > 0
-                  ? xport::univmon_coalescer(um_cfg, daemon.seed_schedule())
-                  : xport::univmon_coalescer(um_cfg, opt.seed));
-    exporter->attach_telemetry(registry, "nitro_export");
-    if (restore_source == 4) {
-      // Resume after the collector's settled sequence number so the
-      // rejoin never redelivers an already-applied epoch.
-      exporter->set_next_seq(recovered_last_seq + 1);
-    } else if (restore_source != 0) {
-      // Locally restored state: epochs 0..epoch()-1 were already exported
-      // under seqs 1..epoch(), so the re-closed current epoch must go out
-      // as seq epoch()+1 — the collector settles it as a duplicate if the
-      // pre-crash process already delivered it, and applies it otherwise.
-      exporter->set_next_seq(daemon.epoch() + 1);
-    }
-    exporter->start();
-    daemon.set_export_sink([&exporter](control::ExportedEpoch&& e) {
-      exporter->publish(e.span, e.packets, std::move(e.snapshot), e.close_ns,
-                        e.seed_gen);
-    });
+  if (opt.rt.exporter) {
     std::printf("exporting epochs to %s as source %llu\n",
-                export_ep->to_string().c_str(),
+                opt.rt.exporter->endpoint.to_string().c_str(),
                 static_cast<unsigned long long>(opt.source_id));
   }
 
-  // Route the replay through the OVS-like pipeline so the per-stage cycle
-  // profile (recv/parse/lookup/measurement/action) is real, not synthetic
-  // — unless --ingest selected a backend, in which case the
-  // run-to-completion ingest loop drives the same measurement hooks.
-  std::vector<switchsim::RawPacket> raws;
-  if (!backend) raws = switchsim::materialize(stream);
-  DaemonSketchAdapter adapter{&daemon};
-  std::unique_ptr<shard::ShardGroup<core::NitroUnivMon>> shard_group;
-  std::unique_ptr<switchsim::Measurement> measurement;
-  if (opt.workers > 1) {
-    if (opt.separate_thread) {
-      std::fprintf(stderr, "--separate-thread is subsumed by --workers; using %d shard workers\n",
-                   opt.workers);
-    }
-    std::printf("sharded data plane: %d workers, flow-hash dispatch\n", opt.workers);
-    shard::ShardOptions shard_opts;
-    if (opt.valve) {
-      // Churn admission valve (DESIGN.md §16): when a window's unique-flow
-      // fraction crosses the threshold, the shard escalates the same
-      // degrade ladder ring overflow uses instead of melting down.
-      shard_opts.valve.enabled = true;
-      shard_opts.valve.new_flow_threshold = opt.valve_threshold;
-      std::printf("admission valve: on (new-flow fraction > %.2f trips)\n",
-                  opt.valve_threshold);
-    }
-    shard_group = std::make_unique<shard::ShardGroup<core::NitroUnivMon>>(
-        static_cast<std::uint32_t>(opt.workers),
-        [&](std::uint32_t i) {
-          // Same UnivMon seed everywhere (mergeable counters); decorrelated
-          // per-shard sampler seeds.
-          core::NitroConfig shard_cfg = nitro_cfg;
-          shard_cfg.seed = mix64(nitro_cfg.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
-          return core::NitroUnivMon(um_cfg, shard_cfg, opt.seed);
-        },
-        shard_opts);
-    shard_group->attach_telemetry(registry, "nitro_shard");
-    measurement = std::make_unique<ShardedDaemonMeasurement>(*shard_group,
-                                                             accuracy.get());
-    // Keep the snapshot schema stable across integrations.
-    registry.counter("nitro_ring_drops_total", "ring overruns: samples dropped");
-    registry.counter("nitro_ring_idle_spins_total",
-                     "consumer poll rounds that found the ring empty");
-  } else if (opt.separate_thread) {
-    auto st = std::make_unique<switchsim::SeparateThreadMeasurement<DaemonSketchAdapter>>(
-        adapter);
-    st->attach_telemetry(registry, "nitro_ring");
-    measurement = std::move(st);
-  } else {
-    measurement = std::make_unique<switchsim::InlineMeasurement<DaemonSketchAdapter>>(
-        adapter);
-    // Keep the snapshot schema stable: the ring counters exist (at zero)
-    // even when the AIO integration is used.
-    registry.counter("nitro_ring_drops_total", "ring overruns: samples dropped");
-    registry.counter("nitro_ring_idle_spins_total",
-                     "consumer poll rounds that found the ring empty");
-  }
-  switchsim::OvsPipeline pipe(*measurement, 8192,
-                              static_cast<std::size_t>(opt.burst));
-  pipe.set_telemetry(telemetry::PipelineTelemetry::in(registry, "nitro_pipeline"));
-  switchsim::Profile prof;
-  std::unique_ptr<ingest::IngestLoop> ingest_loop;
-  if (backend) {
-    ingest_loop = std::make_unique<ingest::IngestLoop>(
-        *backend, *measurement, static_cast<std::size_t>(opt.burst));
-  }
-
-  const std::uint64_t total =
-      backend ? backend->size_hint() : static_cast<std::uint64_t>(raws.size());
-  const std::uint64_t per_epoch = total / static_cast<std::uint64_t>(opt.epochs);
-  std::uint64_t cursor = 0;
-  std::uint64_t frames_since_full = 0;  // delta frames since the last full base
+  ingest::IngestLoop loop(*backend, rt->hook(), opt.burst);
+  const std::uint64_t per_epoch = backend->size_hint() / static_cast<std::uint64_t>(opt.epochs);
   for (int e = 0; e < opt.epochs; ++e) {
-    const std::uint64_t end = (e == opt.epochs - 1) ? total : cursor + per_epoch;
+    const bool last = e == opt.epochs - 1;
     // Ambient trace keys for this epoch: deep sites (burst flush, shard
-    // drain, snapshot, checkpoint) pick them up without plumbing.
-    if (tracer) tracer->set_context(opt.source_id, daemon.epoch());
-    switchsim::RunStats stats;
+    // drain and merge, snapshot, checkpoint) pick them up.
+    if (tracer) tracer->set_context(opt.source_id, rt->daemon().epoch());
+    WallTimer timer;
     {
-      telemetry::ScopedSpan ingest_span(telemetry::Stage::kIngest,
-                                        opt.source_id, daemon.epoch());
-      if (backend) {
-        // Run-to-completion: poll the backend, decode, update — on this
-        // thread.  The final epoch runs to backend EOF (covers size
-        // hints that undercount, e.g. pcap parse-error skips).
-        WallTimer timer;
-        const std::uint64_t budget = (e == opt.epochs - 1) ? ~0ull : end - cursor;
-        stats.packets = ingest_loop->run(budget);
-        measurement->finish();
-        stats.seconds = timer.seconds();
-        stats.bytes = ingest_loop->stats().bytes;
-      } else {
-        stats = pipe.run(std::span<const switchsim::RawPacket>(raws).subspan(
-                             cursor, end - cursor),
-                         &prof);
-      }
+      telemetry::ScopedSpan ingest_span(telemetry::Stage::kIngest, opt.source_id,
+                                        rt->daemon().epoch());
+      // The final epoch runs to backend EOF (covers size hints that
+      // undercount, e.g. pcap parse-error skips).
+      (void)loop.run(last ? ~0ull : per_epoch);
     }
-    cursor = end;
-    if (shard_group) {
-      telemetry::ScopedSpan merge_span(telemetry::Stage::kShardMerge,
-                                       opt.source_id, daemon.epoch());
-      // Epoch boundary: the pipeline's finish() drained the rings, so the
-      // shards are quiescent.  Merge every live shard into the daemon's
-      // (idle) data plane, reset the shards for the next epoch, and let
-      // the daemon's task estimation run on the coherent merged view.
-      // Quarantined shards (dead/wedged workers caught by the drain
-      // watchdog) are excluded — the report covers the survivors.
-      for (std::uint32_t s = 0; s < shard_group->workers(); ++s) {
-        if (shard_group->quarantined(s)) {
-          std::fprintf(stderr,
-                       "shard %u QUARANTINED (worker %s); excluded from merge\n",
-                       s, shard_group->worker_alive(s) ? "wedged" : "dead");
-          continue;
-        }
-        daemon.data_plane_mut().merge_from(shard_group->instance(s));
-        shard_group->instance(s).clear();
-      }
-      shard_group->reset_degradation();
-      daemon.publish_telemetry();
-    }
-    if (ckpt) {
-      // Persist before closing the epoch: a crash inside end_epoch then
-      // costs at most the current epoch, never an already-reported one.
-      // Every --checkpoint-full-every frames (or whenever the dirty state
-      // cannot be expressed as a delta) a full base is written; the frames
-      // between are run-length deltas of the touched segments.
-      const bool want_full =
-          !daemon.delta_ready() ||
-          frames_since_full >=
-              static_cast<std::uint64_t>(opt.checkpoint_full_every);
-      const auto saved = ckpt->save_frame(
-          "daemon", want_full,
-          want_full ? daemon.checkpoint_bytes()
-                    : daemon.delta_checkpoint_bytes());
-      if (saved.ok) {
-        daemon.cut_checkpoint_frame();
-        frames_since_full = want_full ? 1 : frames_since_full + 1;
-      } else {
-        std::fprintf(stderr, "checkpoint: save FAILED for epoch %llu\n",
-                     static_cast<unsigned long long>(daemon.epoch()));
-      }
-    }
-    const auto report = daemon.end_epoch();
-    prof.publish(registry);
-
-    std::printf("\n=== epoch %llu: %lld packets in %.2fs (%.2f Mpps) ===\n",
-                static_cast<unsigned long long>(report.epoch),
-                static_cast<long long>(report.packets), stats.seconds,
-                static_cast<double>(report.packets) / stats.seconds / 1e6);
-    std::printf("entropy %.3f bits | distinct ~%.0f flows | %zu heavy hitters |"
-                " %zu changed flows\n",
-                report.entropy, report.distinct, report.heavy_hitters.size(),
-                report.changed_flows.size());
-    if (accuracy && report.accuracy.tracked_flows > 0) {
-      const auto& a = report.accuracy;
-      std::printf("accuracy: %zu tracked | mean err %.1f | max err %.1f |"
-                  " bound %.1f (x%.2f degrade) | %s\n",
-                  a.tracked_flows, a.mean_abs_error, a.max_abs_error, a.bound,
-                  a.inflation, a.within_bound ? "WITHIN BOUND" : "BOUND EXCEEDED");
-    }
-    int shown = 0;
-    for (const auto& h : report.heavy_hitters) {
-      std::printf("  HH  %-44s %10lld\n", to_string(h.key).c_str(),
-                  static_cast<long long>(h.estimate));
-      if (++shown >= opt.top) break;
-    }
-    shown = 0;
-    for (const auto& c : report.changed_flows) {
-      std::printf("  CHG %-44s %+10lld\n", to_string(c.key).c_str(),
-                  static_cast<long long>(c.estimate));
-      if (++shown >= opt.top) break;
-    }
-
-    if (!opt.stats_out.empty() &&
-        ((e + 1) % opt.stats_interval == 0 || e == opt.epochs - 1)) {
+    // Mpps covers ingest plus the drain, not the epoch close (checkpoint
+    // fsync, export); close_epoch's own drain then finds nothing left.
+    rt->hook().finish();
+    const double seconds = timer.seconds();
+    const auto report = rt->close_epoch();
+    print_report(opt, report, seconds);
+    if (!opt.stats_out.empty() && (e + 1) % opt.stats_interval == 0) {
       write_stats(opt, registry);
     }
   }
-
-  if (exporter) {
-    // Give in-flight epochs a chance to reach the collector before exit;
-    // an unreachable collector must not wedge the monitor.
-    if (!exporter->flush(10'000)) {
-      std::fprintf(stderr,
-                   "export: %zu epoch message(s) undelivered at shutdown\n",
-                   exporter->queue_depth());
-    }
-    exporter->stop();
+  rt->shutdown(10'000);
+  if (opt.rt.exporter) {
     std::printf("export: %llu epoch(s) acknowledged by the collector\n",
-                static_cast<unsigned long long>(exporter->epochs_acked()));
-    if (!opt.stats_out.empty()) write_stats(opt, registry);
+                static_cast<unsigned long long>(
+                    registry.counter("nitro_export_acked_epochs_total").value()));
   }
 
   if (!opt.stats_out.empty()) {
-    std::printf("\ntelemetry snapshot (%s) written to %s\n",
-                opt.stats_format.c_str(), opt.stats_out.c_str());
+    write_stats(opt, registry);
+    std::printf("\ntelemetry snapshot (%s) written to %s\n", opt.stats_format.c_str(),
+                opt.stats_out.c_str());
   }
 
   if (tracer) {
