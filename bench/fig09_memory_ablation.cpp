@@ -80,7 +80,7 @@ double stage2_row_sampling_coin_flips(const trace::Trace& stream, double p) {
         if (rng.next_double() >= p) continue;  // one PRNG draw per row!
         if (!touched && !um.level_passes(j, pkt.key)) goto next_packet;
         touched = true;
-        m.update_row(r, pkt.key, inc);
+        m.update_row_digest(r, flow_digest(pkt.key), inc);
       }
       if (!touched && !um.level_passes(j, pkt.key)) break;
       if (touched) um.offer_to_heap(j, pkt.key);

@@ -17,8 +17,13 @@
 // fewer packets, gate reported but not enforced), so the binary can sit
 // next to micro_ops under the bench-smoke ctest label.
 //
-// A JSON sidecar (micro_burst_ingest_telemetry.json) records both ns/pkt
-// figures, the speedup, and whether the build has AVX2.
+// A second, report-only row runs the same comparison on NitroUnivMon at
+// the monitor's geometry (16 levels, depth 5, top width 10000, fixed
+// p = 0.01): its burst path digests each 64-key chunk once and walks it
+// level by level.  No gate: bench gates already flake on shared hosts.
+//
+// A JSON sidecar (micro_burst_ingest_telemetry.json) records every ns/pkt
+// figure, the speedups, and whether the build has AVX2.
 #include "bench_common.hpp"
 
 #include <algorithm>
@@ -27,6 +32,7 @@
 #include <vector>
 
 #include "core/nitro_sketch.hpp"
+#include "core/nitro_univmon.hpp"
 #include "sketch/count_min.hpp"
 
 using namespace nitro;
@@ -52,30 +58,40 @@ core::NitroConfig bench_cfg() {
 
 sketch::CountMinSketch make_base() { return sketch::CountMinSketch(5, 10000, 7); }
 
-double ns_per_packet_scalar(const std::vector<FlowKey>& keys) {
-  double best = 1e18;
-  for (int rep = 0; rep < kReps; ++rep) {
-    core::NitroSketch<sketch::CountMinSketch> nitro(make_base(), bench_cfg());
-    WallTimer timer;
-    for (const FlowKey& key : keys) nitro.update(key);
-    nitro.flush();
-    best = std::min(best, timer.seconds() * 1e9 / static_cast<double>(keys.size()));
-  }
-  return best;
+sketch::UnivMonConfig univmon_cfg() {
+  sketch::UnivMonConfig cfg;  // the monitor's geometry
+  cfg.levels = 16;
+  cfg.depth = 5;
+  cfg.top_width = 10000;
+  return cfg;
 }
 
-double ns_per_packet_burst(const std::vector<FlowKey>& keys) {
+core::NitroUnivMon make_univmon() { return core::NitroUnivMon(univmon_cfg(), bench_cfg()); }
+
+core::NitroSketch<sketch::CountMinSketch> make_nitro_cm() {
+  return core::NitroSketch<sketch::CountMinSketch>(make_base(), bench_cfg());
+}
+
+void finish(core::NitroSketch<sketch::CountMinSketch>& nitro) { nitro.flush(); }
+void finish(core::NitroUnivMon&) {}
+
+/// Best-of-kReps ns/packet of a fresh instance fed every key, either
+/// per packet or in kBurst-key update_burst calls.
+template <typename Make>
+double ns_per_packet(const std::vector<FlowKey>& keys, Make make, bool burst) {
   double best = 1e18;
   for (int rep = 0; rep < kReps; ++rep) {
-    core::NitroSketch<sketch::CountMinSketch> nitro(make_base(), bench_cfg());
+    auto nitro = make();
     WallTimer timer;
-    std::size_t i = 0;
-    while (i < keys.size()) {
-      const std::size_t n = std::min(kBurst, keys.size() - i);
-      nitro.update_burst(std::span<const FlowKey>(keys.data() + i, n));
-      i += n;
+    if (burst) {
+      for (std::size_t i = 0; i < keys.size(); i += kBurst) {
+        const std::size_t n = std::min(kBurst, keys.size() - i);
+        nitro.update_burst(std::span<const FlowKey>(keys.data() + i, n));
+      }
+    } else {
+      for (const FlowKey& key : keys) nitro.update(key);
     }
-    nitro.flush();
+    finish(nitro);
     best = std::min(best, timer.seconds() * 1e9 / static_cast<double>(keys.size()));
   }
   return best;
@@ -90,7 +106,8 @@ int main(int argc, char** argv) {
   }
 
   banner("micro_burst_ingest",
-         "burst-32 update_burst vs scalar update, NitroSketch<CountMin> p=0.01");
+         "burst-32 update_burst vs scalar update, NitroSketch<CountMin> and "
+         "NitroUnivMon, p=0.01");
   note("gate: burst >= %.1fx scalar on AVX2 builds (best of %d reps)%s",
        kGateSpeedup, kReps, quick ? " [quick mode: gate not enforced]" : "");
   note("avx2 batched hash kernel: %s", simd_hash_available() ? "yes" : "no");
@@ -104,13 +121,19 @@ int main(int argc, char** argv) {
   keys.reserve(stream.size());
   for (const auto& p : stream) keys.push_back(p.key);
 
-  const double scalar_ns = ns_per_packet_scalar(keys);
-  const double burst_ns = ns_per_packet_burst(keys);
+  const double scalar_ns = ns_per_packet(keys, make_nitro_cm, false);
+  const double burst_ns = ns_per_packet(keys, make_nitro_cm, true);
   const double speedup = scalar_ns / burst_ns;
+  const double um_scalar_ns = ns_per_packet(keys, make_univmon, false);
+  const double um_burst_ns = ns_per_packet(keys, make_univmon, true);
+  const double um_speedup = um_scalar_ns / um_burst_ns;
 
-  std::printf("\n  %-24s %12s\n", "variant", "ns/packet");
-  std::printf("  %-24s %12.2f\n", "scalar update", scalar_ns);
-  std::printf("  %-24s %12.2f   (%.2fx)\n", "update_burst(32)", burst_ns, speedup);
+  std::printf("\n  %-40s %12s\n", "variant", "ns/packet");
+  std::printf("  %-40s %12.2f\n", "CountMin scalar update", scalar_ns);
+  std::printf("  %-40s %12.2f   (%.2fx)\n", "CountMin update_burst(32)", burst_ns, speedup);
+  std::printf("  %-40s %12.2f\n", "UnivMon scalar update (report only)", um_scalar_ns);
+  std::printf("  %-40s %12.2f   (%.2fx)\n", "UnivMon update_burst(32) (report only)",
+              um_burst_ns, um_speedup);
 
   telemetry::Registry registry;
   registry.gauge("burst_ingest_scalar_ns_per_packet", "scalar update ns/packet")
@@ -119,6 +142,15 @@ int main(int argc, char** argv) {
       .set(burst_ns);
   registry.gauge("burst_ingest_speedup", "scalar / burst ns-per-packet ratio")
       .set(speedup);
+  registry.gauge("burst_ingest_univmon_scalar_ns_per_packet",
+                 "NitroUnivMon scalar update ns/packet (report only)")
+      .set(um_scalar_ns);
+  registry.gauge("burst_ingest_univmon_burst_ns_per_packet",
+                 "NitroUnivMon update_burst(32) ns/packet (report only)")
+      .set(um_burst_ns);
+  registry.gauge("burst_ingest_univmon_speedup",
+                 "NitroUnivMon scalar / burst ns-per-packet ratio (report only)")
+      .set(um_speedup);
   write_telemetry_sidecar(registry, "micro_burst_ingest");
 
   if (!simd_hash_available()) {

@@ -6,16 +6,40 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 namespace nitro {
 
-/// Median of a mutable span, partially reordering it in place (no copy —
+/// Median of a mutable span, which it may reorder in place (no copy —
 /// for callers holding their own scratch, e.g. per-query stack buffers).
 /// For even sizes the lower-middle element is returned, matching the
 /// sketch literature's convention for row medians.
 template <typename T>
 T median_in_place(std::span<T> values) {
+  if constexpr (std::is_integral_v<T>) {
+    // Depth 5 (every sketch in the monitor) takes a branch-free sorting
+    // network: same value as nth_element (integers have no -0 or NaN),
+    // without its data-dependent branches on every point query.
+    if (values.size() == 5) {
+      T a = values[0], b = values[1], c = values[2], d = values[3], e = values[4];
+      const auto order = [](T& x, T& y) {
+        const T lo = x < y ? x : y;
+        y = x < y ? y : x;
+        x = lo;
+      };
+      order(a, b);
+      order(d, e);
+      order(c, e);
+      order(c, d);
+      order(a, d);
+      order(a, c);
+      order(b, e);
+      order(b, d);
+      order(b, c);
+      return c;
+    }
+  }
   if (values.empty()) throw std::invalid_argument("median of empty range");
   const std::size_t mid = values.size() / 2;
   std::nth_element(values.begin(), values.begin() + static_cast<std::ptrdiff_t>(mid),

@@ -55,6 +55,20 @@ inline void flow_digest_x16(const FlowKey keys[16], std::uint64_t out[16]) noexc
   xxhash64_x16_flowkeys(keys, kFlowDigestSeed, out);
 }
 
+/// out[i] == flow_digest(keys[i]) for any n: full 16-groups take the x16
+/// kernel, a full 8-group the x8 kernel, and the rest scalar lanes.  The
+/// burst paths (NitroUnivMon, ShardGroup dispatch, BufferedUpdater) digest
+/// every key through this once and hand the digest down.
+inline void flow_digests(const FlowKey* keys, std::size_t n, std::uint64_t* out) noexcept {
+  std::size_t i = 0;
+  for (; n - i >= 16; i += 16) flow_digest_x16(keys + i, out + i);
+  if (n - i >= 8) {
+    flow_digest_x8(keys + i, out + i);
+    i += 8;
+  }
+  for (; i < n; ++i) out[i] = flow_digest(keys[i]);
+}
+
 /// True when the build carries the AVX2 code path (informational; the
 /// functions above are always correct either way).
 bool simd_hash_available() noexcept;

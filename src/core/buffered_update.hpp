@@ -72,22 +72,13 @@ class BufferedUpdater {
     if (count_ == 0) return;
     std::array<std::uint64_t, kBatchMax> digests;
     {
-      // Widest-kernel-first: a full 16-group takes one x16 call, a full
-      // 8-group one x8 call; anything left (external flush mid-batch, or
-      // an odd configured width) takes the scalar tail.  The keys must be
-      // contiguous for the gather loads, so copy them out of Pending.
+      // Widest-kernel-first (flow_digests): anything short of a full group
+      // (external flush mid-batch, or an odd configured width) takes the
+      // scalar tail.  The keys must be contiguous for the gather loads, so
+      // copy them out of Pending.
       std::array<FlowKey, kBatchMax> keys;
       for (std::size_t i = 0; i < count_; ++i) keys[i] = pending_[i].key;
-      std::size_t i = 0;
-      if (count_ - i >= 16) {
-        flow_digest_x16(keys.data() + i, digests.data() + i);
-        i += 16;
-      }
-      if (count_ - i >= 8) {
-        flow_digest_x8(keys.data() + i, digests.data() + i);
-        i += 8;
-      }
-      for (; i < count_; ++i) digests[i] = flow_digest(keys[i]);
+      flow_digests(keys.data(), count_, digests.data());
     }
     std::array<std::uint32_t, kBatchMax> cols;
     std::array<std::int32_t, kBatchMax> signs;

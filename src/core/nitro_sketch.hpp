@@ -341,8 +341,9 @@ class NitroSketch {
   }
 
   void vanilla_update(const FlowKey& key, std::int64_t count) {
+    const std::uint64_t digest = flow_digest(key);
     for (std::uint32_t r = 0; r < base_.depth(); ++r) {
-      base_.matrix().update_row(r, key, count);
+      base_.matrix().update_row_digest(r, digest, count);
     }
     sampled_updates_ += base_.depth();
     if (heap_.capacity() > 0) heap_.offer(key, Traits::query(base_, key));
@@ -368,8 +369,9 @@ class NitroSketch {
       }
       if (heap_.capacity() > 0) pending_offers_.push_back(key);
     } else {
+      const std::uint64_t digest = flow_digest(key);
       for (std::uint32_t i = 0; i < n; ++i) {
-        base_.matrix().update_row(rows[i], key, delta);
+        base_.matrix().update_row_digest(rows[i], digest, delta);
       }
       if (heap_.capacity() > 0) heap_.offer(key, Traits::query(base_, key));
     }
@@ -411,8 +413,9 @@ class NitroSketch {
         } while (s < nslots && burst_slots_[s].packet == pkt);
         if (heap_.capacity() > 0) pending_offers_.push_back(key);
       } else {
+        const std::uint64_t digest = flow_digest(key);
         do {
-          base_.matrix().update_row(burst_slots_[s].row, key, delta);
+          base_.matrix().update_row_digest(burst_slots_[s].row, digest, delta);
           ++s;
         } while (s < nslots && burst_slots_[s].packet == pkt);
         if (heap_.capacity() > 0) heap_.offer(key, Traits::query(base_, key));

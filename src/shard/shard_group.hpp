@@ -29,6 +29,7 @@
 // process restart from the last checkpoint, not an in-place resurrection.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -43,6 +44,7 @@
 #include "common/backoff.hpp"
 #include "common/flow_key.hpp"
 #include "common/hash.hpp"
+#include "common/simd_hash.hpp"
 #include "common/spsc_ring.hpp"
 #include "fault/fault.hpp"
 #include "shard/admission.hpp"
@@ -85,6 +87,9 @@ struct ShardItem {
   std::int64_t count;
   std::uint64_t ts_ns;
 };
+// Half a cache line per ring slot.  The dispatcher's digest is not
+// carried: it would grow every slot, and so every ring, by a quarter.
+static_assert(sizeof(ShardItem) == 32);
 
 /// Generic shard fan-out over any instance with
 /// `update(const FlowKey&, std::int64_t, std::uint64_t)` — NitroSketch<B>
@@ -197,16 +202,24 @@ class ShardGroup {
     }
   }
 
-  /// Burst dispatch (single-dispatcher): partition the burst by shard,
-  /// then enqueue each shard's run with one bulk ring reservation instead
-  /// of one release store per packet.  Per-flow shard stickiness and the
-  /// per-shard packet order are identical to calling update() per key.
+  /// Burst dispatch (single-dispatcher): digest the burst with the
+  /// batched kernel, partition it by shard, then enqueue each shard's run
+  /// with one bulk ring reservation instead of one release store per
+  /// packet.  Per-flow shard stickiness and the per-shard packet order are
+  /// identical to calling update() per key.  The digest stays on the
+  /// dispatcher: ring items keep their 32-byte shape and workers
+  /// re-digest in their own burst path.
   /// Accounting invariant (all policies): packets == pushed + drops.
   void update_burst(std::span<const FlowKey> keys, std::int64_t count = 1,
                     std::uint64_t ts_ns = 0) {
     for (auto& run : burst_runs_) run.clear();
-    for (const FlowKey& key : keys) {
-      burst_runs_[shard_of(key)].push_back({key, count, ts_ns});
+    std::uint64_t digests[kDispatchChunk];
+    for (std::size_t i = 0; i < keys.size(); i += kDispatchChunk) {
+      const std::size_t n = std::min(kDispatchChunk, keys.size() - i);
+      flow_digests(keys.data() + i, n, digests);
+      for (std::size_t k = 0; k < n; ++k) {
+        burst_runs_[shard_of_digest(digests[k])].push_back({keys[i + k], count, ts_ns});
+      }
     }
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       auto& run = burst_runs_[i];
@@ -473,6 +486,9 @@ class ShardGroup {
   // Salt for the dispatch hash; any fixed odd constant distinct from the
   // digest seed works.
   static constexpr std::uint64_t kShardSalt = 0x5a4dd15bA7c4e11fULL;
+
+  /// Keys update_burst() digests per batched-kernel pass.
+  static constexpr std::size_t kDispatchChunk = 64;
 
   /// Full-ring retry budget under kDegrade before the producer sheds.
   static constexpr std::uint32_t kDegradeRetries = 128;

@@ -19,15 +19,19 @@ class CountMinSketch {
       : matrix_(depth, width, seed, /*signed_updates=*/false) {}
 
   void update(const FlowKey& key, std::int64_t count = 1) noexcept {
-    for (std::uint32_t r = 0; r < matrix_.depth(); ++r) matrix_.update_row(r, key, count);
+    const std::uint64_t digest = flow_digest(key);
+    for (std::uint32_t r = 0; r < matrix_.depth(); ++r) {
+      matrix_.update_row_digest(r, digest, count);
+    }
   }
 
   /// Point query: min over rows.  Never underestimates when all updates
   /// are non-negative.
   std::int64_t query(const FlowKey& key) const noexcept {
-    std::int64_t best = matrix_.row_estimate(0, key);
+    const std::uint64_t digest = flow_digest(key);
+    std::int64_t best = matrix_.row_estimate_digest(0, digest);
     for (std::uint32_t r = 1; r < matrix_.depth(); ++r) {
-      best = std::min(best, matrix_.row_estimate(r, key));
+      best = std::min(best, matrix_.row_estimate_digest(r, digest));
     }
     return best;
   }

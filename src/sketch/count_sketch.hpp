@@ -22,7 +22,14 @@ class CountSketch {
       : matrix_(depth, width, seed, /*signed_updates=*/true) {}
 
   void update(const FlowKey& key, std::int64_t count = 1) noexcept {
-    for (std::uint32_t r = 0; r < matrix_.depth(); ++r) matrix_.update_row(r, key, count);
+    update_digest(flow_digest(key), count);
+  }
+
+  /// update() for a key already digested with flow_digest().
+  void update_digest(std::uint64_t digest, std::int64_t count = 1) noexcept {
+    for (std::uint32_t r = 0; r < matrix_.depth(); ++r) {
+      matrix_.update_row_digest(r, digest, count);
+    }
   }
 
   /// Point query: median over the per-row signed estimates.  Only local
@@ -30,6 +37,13 @@ class CountSketch {
   /// thread-safe (the collector's query plane renders /flow and /change
   /// from one shared generation across handler threads).
   std::int64_t query(const FlowKey& key) const noexcept {
+    return query_digest(flow_digest(key));
+  }
+
+  /// query() for a key already digested with flow_digest() — the burst
+  /// paths digest a whole chunk with the batched kernel, then query each
+  /// sampled key's heap estimate from its digest.
+  std::int64_t query_digest(std::uint64_t digest) const noexcept {
     constexpr std::uint32_t kStackRows = 16;
     const std::uint32_t d = matrix_.depth();
     std::int64_t stack_buf[kStackRows];
@@ -39,7 +53,33 @@ class CountSketch {
       heap_buf.resize(d);
       est = heap_buf.data();
     }
-    for (std::uint32_t r = 0; r < d; ++r) est[r] = matrix_.row_estimate(r, key);
+    for (std::uint32_t r = 0; r < d; ++r) est[r] = matrix_.row_estimate_digest(r, digest);
+    return median_in_place(std::span<std::int64_t>(est, d));
+  }
+
+  /// A sampled update followed by its heap estimate: add delta·g_r(x) to
+  /// the `n` listed rows, then return query_digest(digest).  Each row's
+  /// column and sign are hashed once and serve both the writes and the
+  /// estimate.
+  std::int64_t update_rows_and_query(std::uint64_t digest, const std::uint32_t* rows,
+                                     std::uint32_t n, std::int64_t delta) noexcept {
+    constexpr std::uint32_t kStackRows = 16;
+    const std::uint32_t d = matrix_.depth();
+    if (d > kStackRows) {
+      for (std::uint32_t i = 0; i < n; ++i) matrix_.update_row_digest(rows[i], digest, delta);
+      return query_digest(digest);
+    }
+    std::uint32_t cols[kStackRows];
+    std::int32_t signs[kStackRows];
+    for (std::uint32_t r = 0; r < d; ++r) {
+      cols[r] = matrix_.column_of_digest(r, digest);
+      signs[r] = matrix_.sign_of_digest(r, digest);
+    }
+    for (std::uint32_t i = 0; i < n; ++i) {
+      matrix_.add_at(rows[i], cols[rows[i]], delta * signs[rows[i]]);
+    }
+    std::int64_t est[kStackRows];
+    for (std::uint32_t r = 0; r < d; ++r) est[r] = *matrix_.counter_addr(r, cols[r]) * signs[r];
     return median_in_place(std::span<std::int64_t>(est, d));
   }
 

@@ -66,14 +66,10 @@ class CounterMatrix {
   std::uint64_t seed() const noexcept { return seed_; }
   bool signed_updates() const noexcept { return !sign_hash_.empty() && sign_hash_[0].is_signed(); }
 
-  /// C[r][h_r(key)] += delta * g_r(key).
-  void update_row(std::uint32_t r, const FlowKey& key, std::int64_t delta) noexcept {
-    const std::uint64_t digest = flow_digest(key);
-    update_row_digest(r, digest, delta);
-  }
-
-  /// Same as update_row but with the 64-bit digest precomputed (the
-  /// buffered batch path hashes keys up front).
+  /// C[r][h_r(x)] += delta * g_r(x) for the key x whose flow_digest() is
+  /// `digest`.  Rows take the digest, never the key: a caller hashes a
+  /// key once (scalar or batched) and reuses the digest for every row it
+  /// touches.
   void update_row_digest(std::uint32_t r, std::uint64_t digest, std::int64_t delta) noexcept {
     const std::uint32_t col = row_hash_[r].index_of_digest(digest);
     counters_[std::size_t{r} * stride_ + col] += delta * sign_hash_[r].sign_of_digest(digest);
@@ -104,9 +100,9 @@ class CounterMatrix {
     if (!dirty_.empty()) mark_dirty(r, col);
   }
 
-  /// Per-row frequency estimate C[r][h_r(key)] * g_r(key).
-  std::int64_t row_estimate(std::uint32_t r, const FlowKey& key) const noexcept {
-    const std::uint64_t digest = flow_digest(key);
+  /// Per-row frequency estimate C[r][h_r(x)] * g_r(x), x as in
+  /// update_row_digest.
+  std::int64_t row_estimate_digest(std::uint32_t r, std::uint64_t digest) const noexcept {
     const std::uint32_t col = row_hash_[r].index_of_digest(digest);
     return counters_[std::size_t{r} * stride_ + col] * sign_hash_[r].sign_of_digest(digest);
   }

@@ -23,7 +23,10 @@ class KArySketch {
 
   void update(const FlowKey& key, std::int64_t count = 1) noexcept {
     total_ += count;
-    for (std::uint32_t r = 0; r < matrix_.depth(); ++r) matrix_.update_row(r, key, count);
+    const std::uint64_t digest = flow_digest(key);
+    for (std::uint32_t r = 0; r < matrix_.depth(); ++r) {
+      matrix_.update_row_digest(r, digest, count);
+    }
   }
 
   /// Unbiased point estimate (may be negative for absent keys).  Only
@@ -40,8 +43,9 @@ class KArySketch {
       heap_buf.resize(d);
       est = heap_buf.data();
     }
+    const std::uint64_t digest = flow_digest(key);
     for (std::uint32_t r = 0; r < d; ++r) {
-      const double raw = static_cast<double>(matrix_.row_estimate(r, key));
+      const double raw = static_cast<double>(matrix_.row_estimate_digest(r, digest));
       est[r] = (raw - static_cast<double>(total_) / w) / (1.0 - 1.0 / w);
     }
     return median_in_place(std::span<double>(est, d));

@@ -1,7 +1,6 @@
 #include "sketch/univmon.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -19,22 +18,14 @@ UnivMon::UnivMon(const UnivMonConfig& cfg, std::uint64_t seed)
   }
 }
 
-std::uint32_t UnivMon::level_of(const FlowKey& key) const {
-  // Seeded finalizer over the flow digest: one multiply-xor chain instead
-  // of a table-based hash — this sits on the every-packet path of
-  // NitroUnivMon, where the 8 tabulation lookups were the dominant cost.
-  const std::uint64_t h = mix64(flow_digest(key) ^ level_seed_);
-  const auto z = static_cast<std::uint32_t>(std::countr_one(h));
-  return std::min(z, static_cast<std::uint32_t>(levels_.size()) - 1);
-}
-
 void UnivMon::update(const FlowKey& key, std::int64_t count) {
   total_ += count;
-  const std::uint32_t z = level_of(key);
+  const std::uint64_t digest = flow_digest(key);
+  const std::uint32_t z = level_of_digest(digest);
   for (std::uint32_t j = 0; j <= z; ++j) {
     Level& lv = levels_[j];
-    lv.cs.update(key, count);
-    lv.heap.offer(key, lv.cs.query(key));
+    lv.cs.update_digest(digest, count);
+    lv.heap.offer(key, lv.cs.query_digest(digest));
   }
 }
 

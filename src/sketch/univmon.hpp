@@ -15,6 +15,7 @@
 // heavy hitters, change detection, entropy and cardinality.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -60,7 +61,17 @@ class UnivMon {
 
   /// Deepest level this key belongs to: trailing ones of the level hash,
   /// capped at levels-1.  Membership is prefix-closed by construction.
-  std::uint32_t level_of(const FlowKey& key) const;
+  std::uint32_t level_of(const FlowKey& key) const { return level_of_digest(flow_digest(key)); }
+
+  /// level_of() for a key already digested with flow_digest(): a seeded
+  /// finalizer over the digest, so a packet's one digest serves its level
+  /// and every row of every level it touches.
+  std::uint32_t level_of_digest(std::uint64_t digest) const noexcept {
+    const std::uint64_t h = mix64(digest ^ level_seed_);
+    const auto z = static_cast<std::uint32_t>(std::countr_one(h));
+    const auto deepest = static_cast<std::uint32_t>(levels_.size()) - 1;
+    return z < deepest ? z : deepest;
+  }
 
   /// Level membership: is `key` sampled into levels 0..j?
   bool sampled_to_level(const FlowKey& key, std::uint32_t j) const {

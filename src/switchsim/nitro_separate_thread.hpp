@@ -160,7 +160,7 @@ class NitroSeparateThread final : public Measurement {
         continue;
       }
       idle = 0;
-      base_.matrix().update_row(item.row, item.key, item.delta);
+      base_.matrix().update_row_digest(item.row, flow_digest(item.key), item.delta);
       applied_.fetch_add(1, std::memory_order_relaxed);
       if (heap_.capacity() > 0) heap_.offer(item.key, Traits::query(base_, item.key));
     }

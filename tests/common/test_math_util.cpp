@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 namespace nitro {
@@ -26,6 +29,23 @@ TEST(Median, DoesNotMutateInput) {
   std::vector<int> v{9, 1, 5};
   (void)median(v);
   EXPECT_EQ(v, (std::vector<int>{9, 1, 5}));
+}
+
+TEST(Median, FiveIntegersMatchNthElement) {
+  // Depth-5 integer medians take a sorting network; every 5-tuple over a
+  // small alphabet (ties included) must give nth_element's value.
+  std::vector<std::int64_t> v(5);
+  for (int code = 0; code < 6 * 6 * 6 * 6 * 6; ++code) {
+    int c = code;
+    for (auto& x : v) {
+      x = c % 6 - 2;
+      c /= 6;
+    }
+    std::vector<std::int64_t> sorted = v;
+    std::nth_element(sorted.begin(), sorted.begin() + 2, sorted.end());
+    std::vector<std::int64_t> scratch = v;
+    ASSERT_EQ(median_in_place(std::span<std::int64_t>(scratch)), sorted[2]) << code;
+  }
 }
 
 TEST(Median, ThrowsOnEmpty) {

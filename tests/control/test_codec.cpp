@@ -53,7 +53,7 @@ TEST(ByteIo, ReaderThrowsOnTruncation) {
 TEST(MatrixCodec, RoundTripsCounters) {
   sketch::CounterMatrix src(3, 64, 9, true);
   sketch::CounterMatrix dst(3, 64, 9, true);
-  for (int i = 0; i < 500; ++i) src.update_row(i % 3, flow_key_for_rank(i, 2), i);
+  for (int i = 0; i < 500; ++i) src.update_row_digest(i % 3, flow_digest(flow_key_for_rank(i, 2)), i);
   ByteWriter w;
   write_matrix(w, src);
   ByteReader r(w.bytes());

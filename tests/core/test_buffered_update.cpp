@@ -19,10 +19,10 @@ TEST(BufferedUpdater, FlushAppliesAllPending) {
   const FlowKey k = flow_key_for_rank(0, 0);
   buf.push(m, k, 0, 5);
   buf.push(m, k, 1, 7);
-  EXPECT_EQ(m.row_estimate(0, k), 0);  // nothing applied yet
+  EXPECT_EQ(m.row_estimate_digest(0, flow_digest(k)), 0);  // nothing applied yet
   buf.flush(m);
-  EXPECT_EQ(m.row_estimate(0, k), 5);
-  EXPECT_EQ(m.row_estimate(1, k), 7);
+  EXPECT_EQ(m.row_estimate_digest(0, flow_digest(k)), 5);
+  EXPECT_EQ(m.row_estimate_digest(1, flow_digest(k)), 7);
   EXPECT_EQ(buf.pending(), 0u);
 }
 
@@ -34,7 +34,7 @@ TEST(BufferedUpdater, AutoFlushOnFullBatch) {
     EXPECT_FALSE(buf.push(m, k, 0, 1));
   }
   EXPECT_TRUE(buf.push(m, k, 0, 1));  // final push of the group flushes
-  EXPECT_EQ(m.row_estimate(0, k), static_cast<std::int64_t>(buf.batch()));
+  EXPECT_EQ(m.row_estimate_digest(0, flow_digest(k)), static_cast<std::int64_t>(buf.batch()));
   EXPECT_EQ(buf.pending(), 0u);
 }
 
@@ -59,14 +59,14 @@ TEST(BufferedUpdater, EquivalentToDirectUpdates) {
     const FlowKey k = flow_key_for_rank(rng.next_below(100), 0);
     const std::uint32_t row = rng.next_below(5);
     const std::int64_t delta = 1 + rng.next_below(10);
-    direct.update_row(row, k, delta);
+    direct.update_row_digest(row, flow_digest(k), delta);
     buf.push(buffered, k, row, delta);
   }
   buf.flush(buffered);
   for (int i = 0; i < 100; ++i) {
     const FlowKey k = flow_key_for_rank(i, 0);
     for (std::uint32_t r = 0; r < 5; ++r) {
-      EXPECT_EQ(direct.row_estimate(r, k), buffered.row_estimate(r, k));
+      EXPECT_EQ(direct.row_estimate_digest(r, flow_digest(k)), buffered.row_estimate_digest(r, flow_digest(k)));
     }
   }
 }
@@ -90,7 +90,7 @@ TEST(BufferedUpdater, PendingNeverExceedsBatchAcrossManyPushes) {
     ASSERT_LE(buf.pending(), buf.batch());
   }
   buf.flush(m);
-  EXPECT_EQ(m.row_estimate(0, k), static_cast<std::int64_t>(n));
+  EXPECT_EQ(m.row_estimate_digest(0, flow_digest(k)), static_cast<std::int64_t>(n));
 }
 
 TEST(BufferedUpdater, FullBatchKernelMatchesPartialTail) {
@@ -115,7 +115,7 @@ TEST(BufferedUpdater, FullBatchKernelMatchesPartialTail) {
   for (int i = 0; i < 8; ++i) {
     const FlowKey k = flow_key_for_rank(i, 3);
     for (std::uint32_t r = 0; r < 2; ++r) {
-      EXPECT_EQ(full.row_estimate(r, k), split.row_estimate(r, k));
+      EXPECT_EQ(full.row_estimate_digest(r, flow_digest(k)), split.row_estimate_digest(r, flow_digest(k)));
     }
   }
 }
@@ -143,8 +143,8 @@ TEST(BufferedUpdater, X16GroupMatchesPartialTailAndX8Groups) {
   for (int i = 0; i < 16; ++i) {
     const FlowKey k = flow_key_for_rank(i, 5);
     for (std::uint32_t r = 0; r < 2; ++r) {
-      EXPECT_EQ(wide.row_estimate(r, k), eights.row_estimate(r, k)) << i;
-      EXPECT_EQ(wide.row_estimate(r, k), ragged.row_estimate(r, k)) << i;
+      EXPECT_EQ(wide.row_estimate_digest(r, flow_digest(k)), eights.row_estimate_digest(r, flow_digest(k))) << i;
+      EXPECT_EQ(wide.row_estimate_digest(r, flow_digest(k)), ragged.row_estimate_digest(r, flow_digest(k))) << i;
     }
   }
 }
@@ -170,7 +170,7 @@ TEST(BufferedUpdater, PrefetchWindowDoesNotChangeCounters) {
     for (int i = 0; i < 64; ++i) {
       const FlowKey k = flow_key_for_rank(i, 2);
       for (std::uint32_t r = 0; r < 4; ++r) {
-        ASSERT_EQ(ref.row_estimate(r, k), m.row_estimate(r, k)) << window;
+        ASSERT_EQ(ref.row_estimate_digest(r, flow_digest(k)), m.row_estimate_digest(r, flow_digest(k))) << window;
       }
     }
   }

@@ -1,9 +1,10 @@
 // Property tests for the burst ingestion fast path: update_burst over any
 // packet sequence, chopped into arbitrary bursts, must be *bit-identical*
 // to per-packet update() with the same seed — same counters, same heap
-// contents, same sampler/controller state — across CM/CS/K-ary and every
-// mode.  Also covers the batched 64-bit digest kernel against scalar
-// flow_digest and the SpscRing bulk operations the burst path rides on.
+// contents, same sampler/controller state — across CM/CS/K-ary and
+// NitroUnivMon in every mode.  Also covers the batched 64-bit digest
+// kernel against scalar flow_digest, ShardGroup's batched-digest dispatch
+// and the SpscRing bulk operations the burst path rides on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,7 +14,9 @@
 #include "common/simd_hash.hpp"
 #include "common/spsc_ring.hpp"
 #include "core/nitro_sketch.hpp"
+#include "core/nitro_univmon.hpp"
 #include "core/row_sampler.hpp"
+#include "shard/shard_group.hpp"
 #include "trace/ground_truth.hpp"
 #include "trace/workloads.hpp"
 
@@ -203,6 +206,192 @@ TEST(BurstEquivalence, AlwaysLineRateCountSketch) {
 
 TEST(BurstEquivalence, AlwaysLineRateKAry) {
   run_equivalence(KArySketch(5, 2048, 112), line_rate_cfg(), zipf_stream(60000, 2000, 12), 22);
+}
+
+// --- NitroUnivMon ----------------------------------------------------------
+
+sketch::UnivMonConfig univmon_cfg() {
+  sketch::UnivMonConfig cfg;
+  cfg.levels = 12;
+  cfg.depth = 5;
+  cfg.top_width = 2048;
+  cfg.min_width = 256;
+  cfg.heap_capacity = 64;
+  return cfg;
+}
+
+void expect_same_univmon(const NitroUnivMon& per_packet, const NitroUnivMon& burst) {
+  EXPECT_EQ(per_packet.total(), burst.total());
+  EXPECT_EQ(per_packet.ingest_packets(), burst.ingest_packets());
+  EXPECT_EQ(per_packet.sampled_updates(), burst.sampled_updates());
+  const auto& ua = per_packet.univmon();
+  const auto& ub = burst.univmon();
+  ASSERT_EQ(ua.num_levels(), ub.num_levels());
+  for (std::uint32_t j = 0; j < ua.num_levels(); ++j) {
+    EXPECT_EQ(per_packet.level_converged(j), burst.level_converged(j)) << "level " << j;
+    EXPECT_DOUBLE_EQ(per_packet.level_probability(j), burst.level_probability(j))
+        << "level " << j;
+    const auto& ma = ua.level_sketch(j).matrix();
+    const auto& mb = ub.level_sketch(j).matrix();
+    for (std::uint32_t r = 0; r < ma.depth(); ++r) {
+      const auto ra = ma.row(r);
+      const auto rb = mb.row(r);
+      for (std::uint32_t c = 0; c < ma.width(); ++c) {
+        ASSERT_EQ(ra[c], rb[c]) << "level " << j << " row " << r << " col " << c;
+      }
+    }
+    const auto ha = ua.level_heap(j).entries_sorted();
+    const auto hb = ub.level_heap(j).entries_sorted();
+    ASSERT_EQ(ha.size(), hb.size()) << "level " << j;
+    for (std::size_t i = 0; i < ha.size(); ++i) {
+      EXPECT_EQ(ha[i].key, hb[i].key) << "level " << j << " heap entry " << i;
+      EXPECT_EQ(ha[i].estimate, hb[i].estimate) << "level " << j << " heap entry " << i;
+    }
+  }
+}
+
+/// NitroUnivMon counterpart of run_equivalence: random bursts of 1..256
+/// keys (crossing update_burst's 64-key chunks) against per-packet
+/// update(), then a per-packet coda on both.  With `degrade`, both
+/// instances step through degradation levels 0..3 between bursts.
+void run_univmon_equivalence(NitroConfig cfg, const trace::Trace& stream,
+                             std::uint64_t split_seed, bool degrade = false) {
+  NitroUnivMon per_packet(univmon_cfg(), cfg, 0x5eed);
+  NitroUnivMon burst(univmon_cfg(), cfg, 0x5eed);
+  Pcg32 rng(split_seed, 9);
+  std::vector<FlowKey> scratch;
+  std::size_t i = 0;
+  std::uint32_t bursts = 0;
+  const std::size_t n = stream.size();
+  while (i < n) {
+    if (degrade && ++bursts % 16 == 0) {
+      const std::uint32_t level = (bursts / 16) % 4;
+      per_packet.apply_degradation(level);
+      burst.apply_degradation(level);
+    }
+    std::size_t b = 1 + rng.next() % 256;
+    if (b > n - i) b = n - i;
+    const std::uint64_t ts = stream[i + b - 1].ts_ns;
+    scratch.clear();
+    for (std::size_t j = 0; j < b; ++j) {
+      per_packet.update(stream[i + j].key, 1, ts);
+      scratch.push_back(stream[i + j].key);
+    }
+    burst.update_burst(std::span<const FlowKey>(scratch), ts);
+    i += b;
+  }
+  expect_same_univmon(per_packet, burst);
+  std::uint64_t ts = stream.empty() ? 0 : stream.back().ts_ns;
+  for (int k = 0; k < 2000; ++k) {
+    const FlowKey key = flow_key_for_rank(k % 97, 3);
+    ts += 25;
+    per_packet.update(key, 1, ts);
+    burst.update(key, 1, ts);
+  }
+  expect_same_univmon(per_packet, burst);
+}
+
+NitroConfig univmon_fixed_cfg(double p) {
+  NitroConfig cfg;
+  cfg.mode = Mode::kFixedRate;
+  cfg.probability = p;
+  return cfg;
+}
+
+TEST(BurstEquivalence, UnivMonFixedRate) {
+  run_univmon_equivalence(univmon_fixed_cfg(0.05), zipf_stream(40000, 3000, 31), 41);
+}
+
+TEST(BurstEquivalence, UnivMonFixedRateProbabilityOne) {
+  // p = 1: every member of every level is sampled on all rows.
+  run_univmon_equivalence(univmon_fixed_cfg(1.0), zipf_stream(10000, 1000, 32), 42);
+}
+
+TEST(BurstEquivalence, UnivMonFixedRateWithDegradation) {
+  run_univmon_equivalence(univmon_fixed_cfg(0.1), zipf_stream(40000, 3000, 33), 43,
+                          /*degrade=*/true);
+}
+
+TEST(BurstEquivalence, UnivMonVanilla) {
+  NitroConfig cfg;
+  cfg.mode = Mode::kVanilla;
+  run_univmon_equivalence(cfg, zipf_stream(15000, 1500, 34), 44);
+}
+
+TEST(BurstEquivalence, UnivMonAlwaysCorrectLevelsConvergeMidBurst) {
+  // Per-level detectors flip at different points of the stream, mostly
+  // inside a burst; deeper levels stay exact.
+  NitroConfig cfg;
+  cfg.mode = Mode::kAlwaysCorrect;
+  cfg.probability = 0.25;
+  cfg.epsilon = 0.5;
+  cfg.convergence_check_interval = 500;
+  const auto stream = zipf_stream(60000, 2000, 35);
+  run_univmon_equivalence(cfg, stream, 45);
+  NitroUnivMon probe(univmon_cfg(), cfg, 0x5eed);
+  for (const auto& p : stream) probe.update(p.key, 1, p.ts_ns);
+  EXPECT_TRUE(probe.level_converged(1)) << "levels must converge mid-stream to bite";
+  EXPECT_FALSE(probe.level_converged(univmon_cfg().levels - 1))
+      << "some level must stay exact to cover the mixed regime";
+}
+
+TEST(BurstEquivalence, UnivMonAlwaysLineRate) {
+  // 1 ms controller epochs over caida_like timestamps: the controller
+  // retunes every sampler many times, each retune firing inside an
+  // update_burst call (bursts share one timestamp, so it lands on a
+  // burst's first packet).
+  NitroConfig cfg;
+  cfg.mode = Mode::kAlwaysLineRate;
+  cfg.probability = 1.0 / 128.0;
+  cfg.rate_epoch_ns = 1'000'000;
+  cfg.target_sampled_rate_pps = 625000.0;
+  const auto stream = zipf_stream(60000, 2000, 36);
+  run_univmon_equivalence(cfg, stream, 46);
+  NitroUnivMon probe(univmon_cfg(), cfg, 0x5eed);
+  for (const auto& p : stream) probe.update(p.key, 1, p.ts_ns);
+  EXPECT_LT(probe.level_probability(0), 1.0) << "the controller must retune in-stream";
+}
+
+// --- ShardGroup dispatch -----------------------------------------------------
+
+/// Minimal shard instance: records the keys its worker applies, in order.
+struct KeyRecorder {
+  std::vector<FlowKey> keys;
+  void update(const FlowKey& key, std::int64_t, std::uint64_t) { keys.push_back(key); }
+};
+
+TEST(BurstEquivalence, ShardGroupBurstDispatchRoutesLikePerKeyUpdate) {
+  // Burst lengths are never multiples of 16, so every dispatch ends in a
+  // partial digest group (the x8 and scalar tails of flow_digests).
+  const auto stream = zipf_stream(20000, 3000, 37);
+  shard::ShardGroup<KeyRecorder> per_key(3, [](std::uint32_t) { return KeyRecorder{}; });
+  shard::ShardGroup<KeyRecorder> burst(3, [](std::uint32_t) { return KeyRecorder{}; });
+  Pcg32 rng(47, 5);
+  std::vector<FlowKey> scratch;
+  std::size_t i = 0;
+  while (i < stream.size()) {
+    std::size_t b = 1 + rng.next() % 150;
+    if (b % 16 == 0) ++b;
+    if (b > stream.size() - i) b = stream.size() - i;
+    scratch.clear();
+    for (std::size_t j = 0; j < b; ++j) {
+      per_key.update(stream[i + j].key);
+      scratch.push_back(stream[i + j].key);
+    }
+    burst.update_burst(std::span<const FlowKey>(scratch));
+    i += b;
+  }
+  ASSERT_TRUE(per_key.drain());
+  ASSERT_TRUE(burst.drain());
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(burst.shard_packets(s), per_key.shard_packets(s)) << "shard " << s;
+    const auto& got = burst.instance(s).keys;
+    ASSERT_EQ(got.size(), per_key.instance(s).keys.size()) << "shard " << s;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      ASSERT_EQ(burst.shard_of(got[k]), s) << "shard " << s << " item " << k;
+      ASSERT_EQ(got[k], per_key.instance(s).keys[k]) << "shard " << s << " item " << k;
+    }
+  }
 }
 
 TEST(RowSamplerBurst, SampleBurstMatchesPerPacketDraws) {

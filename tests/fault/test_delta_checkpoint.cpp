@@ -73,7 +73,7 @@ TEST(DirtyTracking, UpdateMarksExactlyTheTouchedSegment) {
   m.enable_dirty_tracking();
   m.clear_dirty();
   const FlowKey key = flow_key_for_rank(5, 1);
-  m.update_row(0, key, 7);
+  m.update_row_digest(0, flow_digest(key), 7);
   const std::uint32_t col = m.column_of_digest(0, flow_digest(key));
   const std::uint32_t seg = col / sketch::CounterMatrix::kSegmentCounters;
   EXPECT_TRUE(m.segment_dirty(0, seg));
@@ -102,7 +102,7 @@ TEST(DirtyTracking, MergeMarksOnlySegmentsTheOtherSidePerturbs) {
   sketch::CounterMatrix a(2, 256, 11, true);
   sketch::CounterMatrix b(2, 256, 11, true);
   const FlowKey key = flow_key_for_rank(9, 1);
-  b.update_row(0, key, 3);
+  b.update_row_digest(0, flow_digest(key), 3);
   a.enable_dirty_tracking();
   a.clear_dirty();
   a.merge(b);
@@ -116,14 +116,14 @@ TEST(DirtyTracking, MergeMarksOnlySegmentsTheOtherSidePerturbs) {
 TEST(MatrixDelta, AppliesTouchedSegmentsOntoTheBaseExactly) {
   sketch::CounterMatrix base(3, 200, 13, true);
   for (int i = 0; i < 300; ++i) {
-    base.update_row(i % 3, flow_key_for_rank(i, 2), i + 1);
+    base.update_row_digest(i % 3, flow_digest(flow_key_for_rank(i, 2)), i + 1);
   }
   sketch::CounterMatrix src = base;  // replica holds the base state
   sketch::CounterMatrix dst = base;
   src.enable_dirty_tracking();
   src.clear_dirty();  // frame cut: deltas now relative to `base`
   for (int i = 0; i < 40; ++i) {
-    src.update_row(i % 3, flow_key_for_rank(1000 + i, 2), 5);
+    src.update_row_digest(i % 3, flow_digest(flow_key_for_rank(1000 + i, 2)), 5);
   }
   ByteWriter w;
   write_matrix_delta(w, src);

@@ -22,30 +22,30 @@ TEST(CounterMatrix, StartsZeroed) {
 TEST(CounterMatrix, UnsignedUpdateAddsDelta) {
   CounterMatrix m(3, 16, 1, false);
   const FlowKey k = flow_key_for_rank(1, 0);
-  m.update_row(0, k, 5);
-  EXPECT_EQ(m.row_estimate(0, k), 5);
-  m.update_row(0, k, 2);
-  EXPECT_EQ(m.row_estimate(0, k), 7);
+  m.update_row_digest(0, flow_digest(k), 5);
+  EXPECT_EQ(m.row_estimate_digest(0, flow_digest(k)), 5);
+  m.update_row_digest(0, flow_digest(k), 2);
+  EXPECT_EQ(m.row_estimate_digest(0, flow_digest(k)), 7);
 }
 
 TEST(CounterMatrix, SignedEstimateUndoesSign) {
   CounterMatrix m(5, 64, 2, true);
   const FlowKey k = flow_key_for_rank(3, 0);
-  for (std::uint32_t r = 0; r < 5; ++r) m.update_row(r, k, 10);
-  for (std::uint32_t r = 0; r < 5; ++r) EXPECT_EQ(m.row_estimate(r, k), 10);
+  for (std::uint32_t r = 0; r < 5; ++r) m.update_row_digest(r, flow_digest(k), 10);
+  for (std::uint32_t r = 0; r < 5; ++r) EXPECT_EQ(m.row_estimate_digest(r, flow_digest(k)), 10);
 }
 
 TEST(CounterMatrix, RowsAreIndependent) {
   CounterMatrix m(2, 16, 3, false);
   const FlowKey k = flow_key_for_rank(7, 0);
-  m.update_row(0, k, 4);
-  EXPECT_EQ(m.row_estimate(0, k), 4);
-  EXPECT_EQ(m.row_estimate(1, k), 0);
+  m.update_row_digest(0, flow_digest(k), 4);
+  EXPECT_EQ(m.row_estimate_digest(0, flow_digest(k)), 4);
+  EXPECT_EQ(m.row_estimate_digest(1, flow_digest(k)), 0);
 }
 
 TEST(CounterMatrix, RowSumTracksUnsignedMass) {
   CounterMatrix m(2, 32, 4, false);
-  for (int i = 0; i < 100; ++i) m.update_row(0, flow_key_for_rank(i, 0), 1);
+  for (int i = 0; i < 100; ++i) m.update_row_digest(0, flow_digest(flow_key_for_rank(i, 0)), 1);
   EXPECT_EQ(m.row_sum(0), 100);
   EXPECT_EQ(m.row_sum(1), 0);
 }
@@ -53,13 +53,13 @@ TEST(CounterMatrix, RowSumTracksUnsignedMass) {
 TEST(CounterMatrix, RowSumSquares) {
   CounterMatrix m(1, 8, 5, false);
   const FlowKey k = flow_key_for_rank(0, 0);
-  m.update_row(0, k, 3);
+  m.update_row_digest(0, flow_digest(k), 3);
   EXPECT_DOUBLE_EQ(m.row_sum_squares(0), 9.0);
 }
 
 TEST(CounterMatrix, ClearZeroesEverything) {
   CounterMatrix m(2, 8, 6, true);
-  m.update_row(0, flow_key_for_rank(0, 0), 9);
+  m.update_row_digest(0, flow_digest(flow_key_for_rank(0, 0)), 9);
   m.clear();
   for (std::uint32_t r = 0; r < 2; ++r) {
     for (auto c : m.row(r)) EXPECT_EQ(c, 0);
@@ -69,18 +69,18 @@ TEST(CounterMatrix, ClearZeroesEverything) {
 TEST(CounterMatrix, MergeAddsElementwise) {
   CounterMatrix a(2, 8, 7, false), b(2, 8, 7, false);
   const FlowKey k = flow_key_for_rank(11, 0);
-  a.update_row(0, k, 3);
-  b.update_row(0, k, 4);
+  a.update_row_digest(0, flow_digest(k), 3);
+  b.update_row_digest(0, flow_digest(k), 4);
   a.merge(b);
-  EXPECT_EQ(a.row_estimate(0, k), 7);
+  EXPECT_EQ(a.row_estimate_digest(0, flow_digest(k)), 7);
 }
 
 TEST(CounterMatrix, UpdateViaDigestMatchesKeyPath) {
   CounterMatrix a(3, 32, 8, true), b(3, 32, 8, true);
   const FlowKey k = flow_key_for_rank(5, 1);
-  a.update_row(1, k, 6);
+  a.update_row_digest(1, flow_digest(k), 6);
   b.update_row_digest(1, flow_digest(k), 6);
-  EXPECT_EQ(a.row_estimate(1, k), b.row_estimate(1, k));
+  EXPECT_EQ(a.row_estimate_digest(1, flow_digest(k)), b.row_estimate_digest(1, flow_digest(k)));
 }
 
 TEST(CounterMatrix, AddAtWritesRawCell) {
@@ -109,10 +109,10 @@ TEST(CounterMatrix, RowsAreCacheLineAligned) {
 TEST(CounterMatrix, PaddedStorageStaysInvisible) {
   CounterMatrix a(3, 10, 12, false), b(3, 10, 12, false);
   const FlowKey k = flow_key_for_rank(4, 0);
-  a.update_row(1, k, 3);
-  b.update_row(1, k, 4);
+  a.update_row_digest(1, flow_digest(k), 3);
+  b.update_row_digest(1, flow_digest(k), 4);
   a.merge(b);
-  EXPECT_EQ(a.row_estimate(1, k), 7);
+  EXPECT_EQ(a.row_estimate_digest(1, flow_digest(k)), 7);
   EXPECT_EQ(a.row(1).size(), 10u);  // padding never leaks into row views
   EXPECT_EQ(a.row_sum(1), 7);
 }

@@ -45,13 +45,13 @@ TEST(CounterMatrixMerge, AddsCountersElementWise) {
   CounterMatrix a(3, 64, 5, false);
   CounterMatrix b(3, 64, 5, false);
   for (int i = 0; i < 200; ++i) {
-    a.update_row(static_cast<std::uint32_t>(i % 3), flow_key_for_rank(i, 1), 2);
-    b.update_row(static_cast<std::uint32_t>(i % 3), flow_key_for_rank(i + 50, 1), 3);
+    a.update_row_digest(static_cast<std::uint32_t>(i % 3), flow_digest(flow_key_for_rank(i, 1)), 2);
+    b.update_row_digest(static_cast<std::uint32_t>(i % 3), flow_digest(flow_key_for_rank(i + 50, 1)), 3);
   }
   CounterMatrix expect(3, 64, 5, false);
   for (int i = 0; i < 200; ++i) {
-    expect.update_row(static_cast<std::uint32_t>(i % 3), flow_key_for_rank(i, 1), 2);
-    expect.update_row(static_cast<std::uint32_t>(i % 3), flow_key_for_rank(i + 50, 1), 3);
+    expect.update_row_digest(static_cast<std::uint32_t>(i % 3), flow_digest(flow_key_for_rank(i, 1)), 2);
+    expect.update_row_digest(static_cast<std::uint32_t>(i % 3), flow_digest(flow_key_for_rank(i + 50, 1)), 3);
   }
   a.merge(b);
   for (std::uint32_t r = 0; r < 3; ++r) {

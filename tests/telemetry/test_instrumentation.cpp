@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "control/daemon.hpp"
 #include "core/nitro_sketch.hpp"
@@ -168,6 +170,38 @@ TEST(Instrumentation, CompiledOutVariantStoresNoInstruments) {
   // attach/publish are no-ops: nothing was written into the registry.
   EXPECT_EQ(registry.counter("nitro_cm_packets_total").value(), 0u);
   EXPECT_EQ(registry.histogram("nitro_cm_update_cycles").count(), 0u);
+}
+
+TEST(Instrumentation, NitroUnivMonBurstsKeepFillingTheCycleHistogram) {
+  // update_burst times the chunk holding each 1-in-1024 packet, so the
+  // histogram README's --stats-out text promises keeps filling when the
+  // monitor feeds bursts (odd burst sizes straddle sample points).
+  sketch::UnivMonConfig um_cfg;
+  um_cfg.levels = 8;
+  um_cfg.depth = 3;
+  um_cfg.top_width = 1024;
+  um_cfg.heap_capacity = 64;
+  NitroConfig cfg;
+  cfg.mode = Mode::kFixedRate;
+  cfg.probability = 0.05;
+  core::NitroUnivMon nitro(um_cfg, cfg, 11);
+
+  telemetry::Registry registry;
+  nitro.attach_telemetry(telemetry::SketchTelemetry::in(registry, "nitro_univmon"));
+
+  const auto stream = stream_of(50'000, 5'000, 7);
+  std::vector<FlowKey> keys;
+  for (const auto& p : stream) keys.push_back(p.key);
+  constexpr std::size_t kBurst = 37;
+  for (std::size_t i = 0; i < keys.size(); i += kBurst) {
+    const std::size_t n = std::min(kBurst, keys.size() - i);
+    nitro.update_burst(std::span<const FlowKey>(keys.data() + i, n), stream[i].ts_ns);
+  }
+  nitro.publish_telemetry();
+
+  EXPECT_EQ(registry.counter("nitro_univmon_packets_total").value(), stream.size());
+  EXPECT_GE(registry.histogram("nitro_univmon_update_cycles").count(),
+            stream.size() / (core::NitroUnivMon::kCycleSampleMask + 1));
 }
 
 TEST(Instrumentation, DaemonCountersAreMonotonicAcrossEpochRotation) {
