@@ -125,9 +125,9 @@ void run() {
   }
 
   // --- Delta vs full checkpoint frames (DESIGN.md §15) --------------------
-  // A warm daemon cuts a frame, then sees a sparse epoch (few flows): the
-  // delta frame must cost bytes proportional to the touched counter
-  // segments, not to the sketch size — that is the whole point of the
+  // A warm, dense daemon cuts a frame, then sees a sparse epoch (few
+  // flows): the delta frame must cost bytes proportional to the touched
+  // counter segments (plus the heaps, replaced whole), not to the sketch size — that is the whole point of the
   // chain format.  Checked here on top of the ctest unit in
   // tests_recovery, and reported in the sidecar for EXPERIMENTS.md.
   {
@@ -137,7 +137,18 @@ void run() {
     control::MeasurementDaemon daemon(um_cfg, nitro_cfg, {});
     daemon.enable_delta_checkpoints();
     for (const auto& p : stream) daemon.on_packet(p.key, p.ts_ns);
-    daemon.cut_checkpoint_frame();  // dense warm state is the delta base
+    // Counters travel as sparse cells, so a full frame costs what the base
+    // holds.  Make the base what an hour-long run at line rate leaves: no
+    // counter zero, each carrying about a million packets.  The ratio then
+    // compares the touched runs against a dense base.
+    sketch::UnivMon& base = daemon.data_plane_mut().univmon_mut();
+    for (std::uint32_t j = 0; j < base.num_levels(); ++j) {
+      auto& m = base.level_sketch_mut(j).matrix();
+      for (std::uint32_t r = 0; r < m.depth(); ++r) {
+        for (auto& c : m.row_mut(r)) c += c < 0 ? -(1 << 20) : (1 << 20);
+      }
+    }
+    daemon.cut_checkpoint_frame();  // the dense warm state is the delta base
 
     // Sparse epoch: 2k packets over 32 flows.
     trace::WorkloadSpec sparse_spec;
@@ -203,7 +214,8 @@ void run() {
 
   note("save includes fsync(tmp) + rename rotation + dir fsync (durability "
        "recipe of DESIGN.md §10); load includes CRC validation of the frame; "
-       "delta frames encode only dirty counter segments (DESIGN.md §15)");
+       "delta frames encode the non-zero cells of dirty counter segments "
+       "(DESIGN.md §15)");
   write_telemetry_sidecar(registry, "micro_recovery");
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);  // bench artifacts, not checkpoints

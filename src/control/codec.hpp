@@ -40,6 +40,15 @@ class ByteWriter {
 
   void put_key(const FlowKey& k) { put_raw(&k, sizeof k); }
 
+  /// LEB128: seven bits per byte, low group first, high bit = "more".
+  void put_varint(std::uint64_t v) {
+    while (v >= 0x80) {
+      buf_.push_back(static_cast<std::uint8_t>(v | 0x80));
+      v >>= 7;
+    }
+    buf_.push_back(static_cast<std::uint8_t>(v));
+  }
+
   /// Length-prefixed byte string (nested snapshots inside checkpoints).
   void put_blob(std::span<const std::uint8_t> bytes) {
     put_u64(bytes.size());
@@ -69,6 +78,29 @@ class ByteReader {
   std::int64_t get_i64() { return get_raw<std::int64_t>(); }
   double get_f64() { return get_raw<double>(); }
   FlowKey get_key() { return get_raw<FlowKey>(); }
+
+  /// Canonical LEB128 written by put_varint.  A padded encoding (a zero
+  /// final group after the first byte) and one past 64 bits are rejected,
+  /// so every value has exactly one accepted encoding.
+  std::uint64_t get_varint() {
+    std::uint64_t v = 0;
+    for (unsigned shift = 0;; shift += 7) {
+      if (pos_ >= data_.size()) {
+        throw std::out_of_range("ByteReader: truncated varint");
+      }
+      const std::uint8_t b = data_[pos_++];
+      if (shift == 63 && b > 1) {
+        throw std::invalid_argument("snapshot: varint overflows 64 bits");
+      }
+      v |= std::uint64_t{b & 0x7fu} << shift;
+      if ((b & 0x80) == 0) {
+        if (b == 0 && shift != 0) {
+          throw std::invalid_argument("snapshot: overlong varint");
+        }
+        return v;
+      }
+    }
+  }
 
   std::size_t remaining() const noexcept { return data_.size() - pos_; }
   bool exhausted() const noexcept { return remaining() == 0; }
@@ -108,7 +140,9 @@ class ByteReader {
 /// are each validated explicitly so every corruption mode gets a distinct,
 /// debuggable error.
 inline constexpr std::uint32_t kFrameMagic = 0x4e46524du;  // "NFRM"
-inline constexpr std::uint32_t kFrameVersion = 1;
+/// Version 2 carries counters as sparse cells (write_matrix); version-1
+/// frames held dense rows and are rejected by number.
+inline constexpr std::uint32_t kFrameVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 8 + 4;
 
 /// Wrap `payload` in a versioned, CRC-protected frame.
@@ -137,33 +171,51 @@ FrameHeader parse_frame_header(std::span<const std::uint8_t> bytes);
 std::span<const std::uint8_t> open_frame(std::span<const std::uint8_t> bytes);
 
 // --- Counter matrices ------------------------------------------------------
+//
+// Counters travel sparse: a sampled epoch writes a sliver of its sketch,
+// so each encoded span of counters (a matrix row, or a delta run) is a
+// varint count of its non-zero cells followed by that many
+// (index-gap varint, zig-zag value varint) pairs in increasing index
+// order.  The first gap is the cell's index; each later gap counts the
+// zero cells skipped since the previous one.  A zero value is never
+// written, so the encoding of a span is unique.  For |v| < 2^48 a pair
+// costs at most 8 bytes, so even a fully dense span is no larger than
+// the int64 array it encodes.
 
 /// Serializes shape + counters (hash seeds travel out of band).
 void write_matrix(ByteWriter& w, const sketch::CounterMatrix& m);
 
 /// Loads counters into an identically shaped replica; throws
-/// std::invalid_argument on shape mismatch.
+/// std::invalid_argument on shape mismatch.  The whole image is decoded
+/// before the replica is written, so a malformed one leaves it untouched.
 void read_matrix_into(ByteReader& r, sketch::CounterMatrix& m);
 
 // --- Counter-matrix deltas (delta checkpoints, DESIGN.md §15) --------------
 
 /// Serializes only the dirty segments of `m` (kSegmentCounters-counter
 /// runs touched since the last clear_dirty), as run-length-encoded
-/// (start_segment, length) runs followed by the live counters each run
-/// covers.  Requires dirty tracking enabled; throws std::logic_error
-/// otherwise.  Padding counters are never written.
+/// (start_segment, length) runs followed by one sparse span per run
+/// holding the run's non-zero live counters.  Requires dirty tracking
+/// enabled; throws std::logic_error otherwise.  Padding counters are
+/// never written.
 void write_matrix_delta(ByteWriter& w, const sketch::CounterMatrix& m);
 
-/// Overwrites the touched segments of `m` with the delta's counters (the
-/// untouched rest of the base is left intact — dirty means "may have
-/// changed", so overwrite-onto-base reproduces the source exactly).
-/// Throws std::invalid_argument on shape mismatch, out-of-range runs,
-/// unordered/overlapping runs or a bad magic.
+/// Overwrites the touched segments of `m` with the delta's counters: each
+/// run is zero-filled, then its cells written (the untouched rest of the
+/// base is left intact — dirty means "may have changed", so
+/// overwrite-onto-base reproduces the source exactly).  Throws
+/// std::invalid_argument on shape mismatch, out-of-range runs,
+/// unordered/overlapping runs, a malformed span or a bad magic, and
+/// leaves `m` untouched when it does.
 void apply_matrix_delta(ByteReader& r, sketch::CounterMatrix& m);
 
 // --- Heavy-key stores ------------------------------------------------------
 
 void write_heap(ByteWriter& w, const sketch::TopKHeap& heap);
+
+/// Loads a write_heap image: at most the heap's capacity of entries, in
+/// the canonical entries_sorted() order (which also rules out duplicate
+/// keys).  Throws std::invalid_argument otherwise.
 void read_heap_into(ByteReader& r, sketch::TopKHeap& heap);
 
 // --- UnivMon snapshots ------------------------------------------------------
@@ -171,7 +223,16 @@ void read_heap_into(ByteReader& r, sketch::TopKHeap& heap);
 /// Full data-plane snapshot: every level's counters + heap + the total.
 std::vector<std::uint8_t> snapshot_univmon(const sketch::UnivMon& um);
 
+/// Opens and fully validates a snapshot against `cfg`'s shape, returning
+/// it in sparse form, tagged with `seed` (the seed the snapshot was
+/// hashed with; UnivMon::merge checks it).  Needs no sketch, so the
+/// collector runs it with no lock held.
+sketch::SparseUnivMon decode_univmon(std::span<const std::uint8_t> bytes,
+                                     const sketch::UnivMonConfig& cfg,
+                                     std::uint64_t seed);
+
 /// Loads a snapshot into a replica constructed with the same config+seed.
+/// A malformed snapshot throws and leaves the replica untouched.
 void load_univmon(std::span<const std::uint8_t> bytes, sketch::UnivMon& replica);
 
 /// Delta snapshot: per-level dirty-segment runs plus full heaps (heaps are

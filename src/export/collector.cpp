@@ -103,8 +103,10 @@ CollectorCore::Ingest CollectorCore::ingest(const EpochMessage& msg,
                    &param) == fault::Action::kStall) {
     fault::stall_ns(param, [] { return false; });
   }
-  sketch::UnivMon tmp(cfg_.um_cfg, sched_.seed_for(msg.seed_gen));
-  control::load_univmon(msg.snapshot, tmp);  // throws on corruption
+  // Throws on corruption.  The sparse image merges straight into the
+  // accumulators below, with no temporary sketch.
+  const sketch::SparseUnivMon epoch =
+      control::decode_univmon(msg.snapshot, cfg_.um_cfg, sched_.seed_for(msg.seed_gen));
 
   Source* src_ptr = find_or_create(msg.source_id);
   Source& src = *src_ptr;
@@ -156,8 +158,8 @@ CollectorCore::Ingest CollectorCore::ingest(const EpochMessage& msg,
     if (gen_rotations_ != nullptr) gen_rotations_->inc();
   }
 
-  src.acc.merge(tmp);      // full accumulator (full re-folds)
-  src.pending.merge(tmp);  // delta since the last fold (incremental builds)
+  src.acc.merge(epoch);      // full accumulator (full re-folds)
+  src.pending.merge(epoch);  // delta since the last fold (incremental builds)
   src.dirty = true;
 
   if (msg.seq_first > applied_up_to + 1) {
@@ -334,39 +336,62 @@ CollectorCore::ViewPtr CollectorCore::rebuild(std::uint64_t now_ns) const {
     next->sources.reserve(idx->size());
     folds = 0;
 
-    // Pass 2: fold + copy stats under the SAME lock hold, so each folded
-    // source's (sketch delta, gen_packets) pair is coherent — the
-    // conservation invariant merged.total() == sum(folded gen_packets)
-    // holds per generation even under concurrent ingest.  The dirty flag
-    // is re-read under the lock: an epoch applied between the passes is
-    // folded AND counted.  Liveness sticks to the pass-1 decision — a
-    // source rejoining mid-build is excluded from both the fold and the
-    // packet sum of this generation (its version bump invalidates the
-    // generation immediately anyway).
+    // Pass 2: take each folded source's sketch delta and copy its stats
+    // under the SAME lock hold, so the (sketch delta, gen_packets) pair is
+    // coherent — the conservation invariant merged.total() ==
+    // sum(folded gen_packets) holds per generation even under concurrent
+    // ingest.  The dirty flag is re-read under the lock: an epoch applied
+    // between the passes is folded AND counted.  Liveness sticks to the
+    // pass-1 decision — a source rejoining mid-build is excluded from both
+    // the fold and the packet sum of this generation (its version bump
+    // invalidates the generation immediately anyway).
     for (std::size_t i = 0; i < idx->size(); ++i) {
       Source& src = *(*idx)[i].src;
-      std::lock_guard lk(src.mu);
-      if (src.stats.seed_gen != gens[i]) {
-        // Rotated since pass 1: this source's sketches changed hash
-        // generation mid-build.  Restart as a full re-fold.
-        retry = true;
-        force_full = true;
-        break;
+      // An incremental fold swaps the pending delta for the cleared spare
+      // and merges it after unlocking: net_acc_ and the spare belong to
+      // the builder, so a writer never waits behind the merge.
+      const std::uint64_t seed = sched_.seed_for(gens[i]);
+      if (fold_flags[i] && !full && src.spare.seed() != seed) {
+        src.spare = sketch::UnivMon(cfg_.um_cfg, seed);  // rotated since its last fold
       }
-      if (fold_flags[i] && (full || src.dirty)) {
-        // One merge span per folded source, keyed by its newest applied
-        // epoch — the final stage of that epoch's end-to-end trace.
-        telemetry::ScopedSpan span(telemetry::Stage::kNetworkMerge,
-                                   (*idx)[i].id, src.stats.span.last, tracer_);
-        net_acc_->merge(full ? src.acc : src.pending);
-        src.pending.clear();
-        src.dirty = false;
-        ++folds;
+      bool fold_delta = false;
+      std::uint64_t span_key = 0;
+      {
+        std::lock_guard lk(src.mu);
+        if (src.stats.seed_gen != gens[i]) {
+          // Rotated since pass 1: this source's sketches changed hash
+          // generation mid-build.  Restart as a full re-fold.
+          retry = true;
+          force_full = true;
+          break;
+        }
+        if (fold_flags[i] && (full || src.dirty)) {
+          // One merge span per folded source, keyed by its newest applied
+          // epoch — the final stage of that epoch's end-to-end trace.
+          span_key = src.stats.span.last;
+          if (full) {
+            telemetry::ScopedSpan span(telemetry::Stage::kNetworkMerge,
+                                       (*idx)[i].id, span_key, tracer_);
+            net_acc_->merge(src.acc);
+            src.pending.clear();
+          } else {
+            std::swap(src.spare, src.pending);
+            fold_delta = true;
+          }
+          src.dirty = false;
+          ++folds;
+        }
+        SourceStats s = copy_stats(src);
+        s.stale = alive_flags[i] == 0;  // this build's decision, not the current flag
+        if (fold_flags[i]) next->packets += s.gen_packets;
+        next->sources.push_back(std::move(s));
       }
-      SourceStats s = copy_stats(src);
-      s.stale = alive_flags[i] == 0;  // this build's decision, not the current flag
-      if (fold_flags[i]) next->packets += s.gen_packets;
-      next->sources.push_back(std::move(s));
+      if (fold_delta) {
+        telemetry::ScopedSpan span(telemetry::Stage::kNetworkMerge, (*idx)[i].id,
+                                   span_key, tracer_);
+        net_acc_->merge(src.spare);
+        src.spare.clear();
+      }
     }
   }
 

@@ -280,7 +280,7 @@ class CollectorCore {
     /// (== cfg.seed only when rotation is off); a replica must never be
     /// built at the raw base seed while rotation keys generation 0.
     Source(const CollectorConfig& cfg, std::uint64_t seed0)
-        : acc(cfg.um_cfg, seed0), pending(cfg.um_cfg, seed0) {}
+        : acc(cfg.um_cfg, seed0), pending(cfg.um_cfg, seed0), spare(cfg.um_cfg, seed0) {}
 
     mutable std::mutex mu;  // guards everything below except last_seen_ns
     /// Atomic so the lock-free staleness scan on the view() fast path can
@@ -294,6 +294,10 @@ class CollectorCore {
     // with v2 timestamps / until attach_telemetry).
     telemetry::Gauge* e2e_lag_gauge = nullptr;
     telemetry::Gauge* freshness_gauge = nullptr;
+    /// Guarded by build_mu_, not mu: the cleared sketch an incremental
+    /// fold swaps in for `pending`, then merges and clears with mu
+    /// released.
+    sketch::UnivMon spare;
   };
 
   /// Copy-on-write, sorted-by-id source index: readers binary-search /

@@ -41,8 +41,9 @@ inline constexpr std::uint32_t kRecoverRespMagic = 0x4e525250u; // "NRRP"
 /// rejects any other version by name *before* reading a field, and an
 /// old or newer peer never garbage-decodes a layout it does not know.
 /// The layout carries the epoch-close/send timestamps (DESIGN.md §12),
-/// the rejoin handshake (§15) and the seed generation (§16).
-inline constexpr std::uint32_t kWireVersion = 4;
+/// the rejoin handshake (§15), the seed generation (§16) and, since v5,
+/// snapshots whose counters are sparse cells (control/codec.hpp).
+inline constexpr std::uint32_t kWireVersion = 5;
 
 /// Frames larger than this are treated as stream corruption (a UnivMon
 /// snapshot at paper scale is a few MB; 64 MiB leaves generous headroom).

@@ -28,6 +28,14 @@
 
 namespace nitro::sketch {
 
+/// One non-zero counter of a matrix image: C[row][col] == value.  Sparse
+/// epoch images (control/codec.hpp) are lists of these.
+struct MatrixCell {
+  std::uint32_t row = 0;
+  std::uint32_t col = 0;
+  std::int64_t value = 0;
+};
+
 class CounterMatrix {
  public:
   /// Counters per 64-byte cache line; rows are padded to a multiple of
@@ -65,6 +73,14 @@ class CounterMatrix {
   std::uint32_t stride() const noexcept { return stride_; }
   std::uint64_t seed() const noexcept { return seed_; }
   bool signed_updates() const noexcept { return !sign_hash_.empty() && sign_hash_[0].is_signed(); }
+
+  /// What a serialized image must match to load into this matrix.
+  struct Shape {
+    std::uint32_t depth = 0;
+    std::uint32_t width = 0;
+    bool is_signed = false;
+  };
+  Shape shape() const noexcept { return {depth_, width_, signed_updates()}; }
 
   /// C[r][h_r(x)] += delta * g_r(x) for the key x whose flow_digest() is
   /// `digest`.  Rows take the digest, never the key: a caller hashes a

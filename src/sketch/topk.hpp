@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -111,11 +112,39 @@ class TopKHeap {
   /// undercounts a key whose packets were split across shards).
   template <typename Reestimate>
   void merge(const TopKHeap& other, Reestimate&& estimate_of) {
-    for (const auto& e : other.entries_) offer(e.key, estimate_of(e.key, e.estimate));
+    merge(std::span<const Entry>(other.entries_), estimate_of);
+  }
+
+  /// merge() of bare entries, offered in the given order (a heap image
+  /// decoded from a snapshot, which a loaded heap would store in that
+  /// same order).
+  template <typename Reestimate>
+  void merge(std::span<const Entry> entries, Reestimate&& estimate_of) {
+    for (const auto& e : entries) offer(e.key, estimate_of(e.key, e.estimate));
   }
 
   void merge(const TopKHeap& other) {
     merge(other, [](const FlowKey&, std::int64_t est) { return est; });
+  }
+
+  /// Re-estimate every tracked key in place; nothing is admitted or
+  /// evicted.  Entries are visited in storage order, not sorted: an
+  /// update only moves its entry within the heap array, and everything
+  /// observable (the minimum, entries_sorted(), the slot an eviction
+  /// reuses) depends on the (estimate, key) order alone, so the visiting
+  /// order cannot change the outcome.
+  template <typename Estimate>
+  void refresh(Estimate&& estimate_of) {
+    for (std::uint32_t id = 0; id < entries_.size(); ++id) {
+      const std::int64_t estimate = estimate_of(entries_[id].key);
+      if (estimate > entries_[id].estimate) {
+        entries_[id].estimate = estimate;
+        sift_down(pos_[id]);
+      } else if (estimate < entries_[id].estimate) {
+        entries_[id].estimate = estimate;
+        sift_up(pos_[id]);
+      }
+    }
   }
 
   std::int64_t min_estimate() const noexcept {

@@ -8,6 +8,20 @@
 
 namespace nitro::sketch {
 
+namespace {
+
+/// Union `other`'s heavy keys into `heap` at their estimates from the
+/// (just merged) counters, then refresh the survivors: the merge changed
+/// every estimate.
+template <typename Entries>
+void union_heap(const CountSketch& cs, TopKHeap& heap, const Entries& other) {
+  const auto estimate = [&cs](const FlowKey& k) { return cs.query(k); };
+  heap.merge(other, [&estimate](const FlowKey& k, std::int64_t) { return estimate(k); });
+  heap.refresh(estimate);
+}
+
+}  // namespace
+
 UnivMon::UnivMon(const UnivMonConfig& cfg, std::uint64_t seed)
     : cfg_(cfg), seed_(seed), level_seed_(mix64(seed ^ 0x1e7e15e1ULL)) {
   SplitMix64 sm(seed);
@@ -89,15 +103,36 @@ void UnivMon::merge(const UnivMon& other) {
   }
   // Union the heavy keys; their estimates come from the merged counters.
   for (std::size_t j = 0; j < levels_.size(); ++j) {
-    auto& level = levels_[j];
-    level.heap.merge(other.levels_[j].heap,
-                     [&level](const FlowKey& k, std::int64_t) {
-                       return level.cs.query(k);
-                     });
-    // Refresh survivors too: merged counters changed every estimate.
-    for (const auto& e : level.heap.entries_sorted()) {
-      level.heap.offer(e.key, level.cs.query(e.key));
+    union_heap(levels_[j].cs, levels_[j].heap, other.levels_[j].heap);
+  }
+}
+
+void UnivMon::merge(const SparseUnivMon& image) {
+  if (image.levels.size() != levels_.size()) {
+    throw std::invalid_argument("UnivMon::merge: level count mismatch");
+  }
+  if (image.seed != seed_) {
+    throw std::invalid_argument(
+        "UnivMon::merge: seed mismatch (sketches must be constructed "
+        "identically to share hash functions)");
+  }
+  for (std::size_t j = 0; j < levels_.size(); ++j) {
+    const CounterMatrix& m = levels_[j].cs.matrix();
+    for (const MatrixCell& c : image.levels[j].cells) {
+      if (c.row >= m.depth() || c.col >= m.width()) {
+        throw std::invalid_argument("UnivMon::merge: cell outside the level's matrix");
+      }
     }
+  }
+  total_ += image.total;
+  for (std::size_t j = 0; j < levels_.size(); ++j) {
+    CounterMatrix& m = levels_[j].cs.matrix();
+    for (const MatrixCell& c : image.levels[j].cells) m.add_at(c.row, c.col, c.value);
+  }
+  // Same heap union as the dense merge, in the image's entry order.
+  for (std::size_t j = 0; j < levels_.size(); ++j) {
+    union_heap(levels_[j].cs, levels_[j].heap,
+               std::span<const TopKHeap::Entry>(image.levels[j].heap));
   }
 }
 

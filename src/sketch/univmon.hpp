@@ -49,6 +49,21 @@ struct UnivMonConfig {
   }
 };
 
+/// A UnivMon image in sparse form: per level, its non-zero counters in
+/// (row, col) order and its heavy-key entries in encoded order, plus the
+/// stream total and the seed the image was hashed with.  The collector
+/// decodes each epoch into one of these (control::decode_univmon) and
+/// merges it straight into its accumulators, with no temporary sketch.
+struct SparseUnivMon {
+  struct Level {
+    std::vector<MatrixCell> cells;
+    std::vector<TopKHeap::Entry> heap;
+  };
+  std::uint64_t seed = 0;
+  std::int64_t total = 0;
+  std::vector<Level> levels;
+};
+
 class UnivMon {
  public:
   UnivMon(const UnivMonConfig& cfg, std::uint64_t seed);
@@ -100,6 +115,7 @@ class UnivMon {
 
   std::int64_t total() const noexcept { return total_; }
   std::uint64_t seed() const noexcept { return seed_; }
+  const UnivMonConfig& config() const noexcept { return cfg_; }
   std::uint32_t num_levels() const noexcept { return static_cast<std::uint32_t>(levels_.size()); }
   const CountSketch& level_sketch(std::uint32_t j) const { return levels_[j].cs; }
   const TopKHeap& level_heap(std::uint32_t j) const { return levels_[j].heap; }
@@ -143,6 +159,13 @@ class UnivMon {
   /// must be built with the same config and seed — the standard
   /// same-hash-functions requirement for mergeable sketches.
   void merge(const UnivMon& other);
+
+  /// merge() of a sparse image: adds its cells into every level's
+  /// counters, then unions and refreshes the heaps in the dense merge's
+  /// order, so the result is byte-identical to merging a sketch loaded
+  /// from the same image.  Throws std::invalid_argument unless the image
+  /// has this sketch's seed and level count and every cell is in range.
+  void merge(const SparseUnivMon& image);
 
   std::size_t memory_bytes() const;
   void clear();

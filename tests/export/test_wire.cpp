@@ -175,6 +175,25 @@ TEST(WireFuzz, EveryOtherVersionIsRejectedByName) {
   EXPECT_EQ(error_of(decode_ack, retagged(ack, kWireVersion)), "");
 }
 
+TEST(WireFuzz, DenseV4EpochMessageIsRejectedByName) {
+  // Wire v4 carried dense counter rows inside frame-v1 seals.  Sent as
+  // it was, the stream is poisoned at the frame header; retagged into a
+  // current frame, the message is still refused by its wire version.
+  auto old_frame = encode_epoch(sample_message());
+  old_frame[4] = 1;  // frame version field (little-endian u32 after the magic)
+  FrameAssembler fa;
+  fa.feed(old_frame);
+  std::vector<std::uint8_t> out;
+  try {
+    (void)fa.next_frame(out);
+    ADD_FAILURE() << "a frame-v1 header was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "frame: unsupported version 1");
+  }
+  EXPECT_EQ(decode_error(retagged(encode_epoch(sample_message()), 4)),
+            unsupported_version("epoch msg", 4));
+}
+
 TEST(WireFuzz, OldCollectorSimulationRejectsNewerFramesByName) {
   // A frame one version ahead of what this build speaks (as this build's
   // frames look to an older collector) is rejected by version, before any

@@ -319,6 +319,9 @@ TEST(DaemonDelta, SparseEpochDeltaIsMuchSmallerThanAFullCheckpoint) {
   big.top_width = 8192;  // big enough that a sparse epoch touches a sliver
   MeasurementDaemon d(big, vanilla_cfg(), tasks, 7);
   d.enable_delta_checkpoints();
+  // A densely populated base: a full frame carries every non-zero counter,
+  // a delta only the runs the next packets touch.
+  for (int i = 0; i < 50000; ++i) d.on_packet(flow_key_for_rank(i, 8));
   d.cut_checkpoint_frame();
   // Sparse workload: a handful of flows.
   for (int i = 0; i < 200; ++i) d.on_packet(flow_key_for_rank(i % 4, 9));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
 #include "common/rng.hpp"
 #include "trace/workloads.hpp"
@@ -130,6 +131,52 @@ TEST(TopKHeap, RefreshesTrackedKeyDownwardWhenFull) {
   // Untracked keys at or below the (new) minimum are still rejected.
   heap.offer(flow_key_for_rank(2, 0), 5);
   EXPECT_FALSE(heap.contains(flow_key_for_rank(2, 0)));
+}
+
+TEST(TopKHeap, RefreshInStorageOrderMatchesSortedReoffers) {
+  // refresh() visits entries in storage order; re-offering them in sorted
+  // order is the reference.  After each refresh both heaps take the same
+  // further offers (admissions and evictions), then are merged into a
+  // third heap, which walks them in storage order: every observable must
+  // agree at every step.
+  SplitMix64 rng(17);
+  for (int trial = 0; trial < 50; ++trial) {
+    TopKHeap a(16, trial % 2 == 0 ? 0 : 5);
+    for (int i = 0; i < 40; ++i) {
+      a.offer(flow_key_for_rank(rng.next() % 60, 2), static_cast<std::int64_t>(rng.next() % 100));
+    }
+    TopKHeap b = a;
+    for (int round = 0; round < 4; ++round) {
+      const std::uint64_t salt = rng.next();
+      auto estimate_of = [salt](const FlowKey& k) {
+        return static_cast<std::int64_t>((std::hash<std::uint32_t>{}(k.src_ip) ^ salt) % 100);
+      };
+      a.refresh(estimate_of);
+      for (const auto& e : b.entries_sorted()) b.offer(e.key, estimate_of(e.key));
+      for (int i = 0; i < 10; ++i) {
+        const FlowKey k = flow_key_for_rank(rng.next() % 60, 2);
+        const auto est = static_cast<std::int64_t>(rng.next() % 100);
+        a.offer(k, est);
+        b.offer(k, est);
+      }
+      ASSERT_EQ(a.min_estimate(), b.min_estimate());
+      ASSERT_EQ(a.evictions(), b.evictions());
+      const auto ea = a.entries_sorted();
+      const auto eb = b.entries_sorted();
+      ASSERT_EQ(ea.size(), eb.size());
+      for (std::size_t i = 0; i < ea.size(); ++i) {
+        ASSERT_EQ(ea[i].key, eb[i].key);
+        ASSERT_EQ(ea[i].estimate, eb[i].estimate);
+      }
+      TopKHeap ma(8), mb(8);
+      ma.merge(a);
+      mb.merge(b);
+      const auto sa = ma.entries_sorted();
+      const auto sb = mb.entries_sorted();
+      ASSERT_EQ(sa.size(), sb.size());
+      for (std::size_t i = 0; i < sa.size(); ++i) ASSERT_EQ(sa[i].key, sb[i].key);
+    }
+  }
 }
 
 TEST(TopKHeap, MemoryBytesNonZeroWhenPopulated) {

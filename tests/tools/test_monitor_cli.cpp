@@ -7,6 +7,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "support/temp_path.hpp"
@@ -53,6 +55,38 @@ TEST(MonitorCli, RequireRestoreOnAnEmptyDirectoryExits3) {
   const MonitorRun run = monitor(replay(dir) + " --require-restore");
   EXPECT_EQ(run.exit_code, 3) << run.output;
   std::filesystem::remove_all(dir);
+}
+
+TEST(MonitorCli, FrameV1ChainFailsRestoreLoudly) {
+  // Frame version 1 held dense counter rows.  A chain left on disk by
+  // such a build (modelled by retagging this build's frames) is rejected
+  // by version at restore: counted, then a fresh start, or exit 3 under
+  // --require-restore.  Never a silently misread sketch.
+  const std::string dir = nitro::testing::fresh_temp_dir("nitro_cli_v1");
+  const std::string stats = nitro::testing::unique_temp_path("nitro_cli_v1_stats.json");
+  ASSERT_EQ(monitor(replay(dir)).exit_code, 0);
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::fstream f(entry.path(), std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(4);  // frame header: magic u32, then the version u32
+    const char v1[4] = {1, 0, 0, 0};
+    f.write(v1, sizeof v1);
+  }
+
+  const MonitorRun strict = monitor(replay(dir) + " --require-restore");
+  EXPECT_EQ(strict.exit_code, 3) << strict.output;
+  EXPECT_NE(strict.output.find("frame: unsupported version 1"), std::string::npos)
+      << strict.output;
+
+  const MonitorRun lenient =
+      monitor(replay(dir) + " --stats-out '" + stats + "' --stats-format json");
+  ASSERT_EQ(lenient.exit_code, 0) << lenient.output;
+  EXPECT_EQ(lenient.output.find("restored"), std::string::npos) << lenient.output;
+  std::ifstream in(stats);
+  const std::string json((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  EXPECT_NE(json.find("\"nitro_checkpoint_restore_failures_total\": 1"), std::string::npos)
+      << json;
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove(stats);
 }
 
 TEST(MonitorCli, CaptureReplayBuildsNoSyntheticTrace) {
