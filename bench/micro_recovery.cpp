@@ -18,7 +18,7 @@
 #include "common/timing.hpp"
 #include "control/checkpoint.hpp"
 #include "control/daemon.hpp"
-#include "shard/sharded_nitro.hpp"
+#include "support/nitro_shards.hpp"
 #include "sketch/count_min.hpp"
 
 namespace nitro::bench {
@@ -89,7 +89,7 @@ void run() {
     cfg.track_top_keys = true;
     cfg.top_keys = 256;
     auto make = [] { return sketch::CountMinSketch(5, 65536, 19); };
-    shard::ShardedNitroCountMin sharded(4, make, cfg);
+    auto sharded = testing::nitro_shards(4, make, cfg);
     for (const auto& p : stream) sharded.update(p.key, 1, p.ts_ns);
     sharded.drain();
 
@@ -107,7 +107,7 @@ void run() {
     for (int i = 0; i < kReps; ++i) got = store.load("bench_sharded");
     const double load_s = t.seconds();
 
-    shard::ShardedNitroCountMin replica(4, make, cfg);
+    auto replica = testing::nitro_shards(4, make, cfg);
     t.reset();
     for (int i = 0; i < kReps; ++i) control::restore_sharded(got.payload, replica);
     const double restore_s = t.seconds();

@@ -17,10 +17,11 @@
 #include <algorithm>
 #include <thread>
 
-#include "shard/sharded_nitro.hpp"
+#include "support/nitro_shards.hpp"
 
 using namespace nitro;
 using namespace nitro::bench;
+using nitro::testing::nitro_shards;
 
 namespace {
 
@@ -61,8 +62,7 @@ int main() {
 
   double sharded = 0.0;
   for (int rep = 0; rep < kReps; ++rep) {
-    shard::ShardedNitroSketch<sketch::CountMinSketch> s(
-        1, [] { return make_base(); }, bench_cfg());
+    auto s = nitro_shards(1, make_base, bench_cfg());
     WallTimer timer;
     for (const auto& p : stream) s.update(p.key, 1, p.ts_ns);
     s.drain();

@@ -190,10 +190,10 @@ void restore_nitro(std::span<const std::uint8_t> payload, Nitro& replica) {
   replica.set_ingest_counts(packets, sampled);
 }
 
-/// Checkpoint a ShardedNitroSketch: one checkpoint_nitro payload per
-/// shard plus its quarantine flag (a quarantined shard's frozen pre-fault
-/// counters are still valid measurement state and are preserved).  Call
-/// only at an epoch boundary: drains first.
+/// Checkpoint a ShardGroup<NitroSketch<Base>>: one checkpoint_nitro payload
+/// per shard instance plus its quarantine flag (a quarantined shard's frozen
+/// pre-fault counters are still valid measurement state).  Call only at an
+/// epoch boundary, before merge_into() clears the instances: drains first.
 template <typename Sharded>
 std::vector<std::uint8_t> checkpoint_sharded(Sharded& sharded) {
   sharded.drain();
@@ -203,7 +203,7 @@ std::vector<std::uint8_t> checkpoint_sharded(Sharded& sharded) {
   w.put_u32(sharded.workers());
   for (std::uint32_t i = 0; i < sharded.workers(); ++i) {
     w.put_u8(sharded.quarantined(i) ? 1 : 0);
-    w.put_blob(checkpoint_nitro(sharded.shard_sketch(i)));
+    w.put_blob(checkpoint_nitro(sharded.instance(i)));
   }
   return std::move(w).take();
 }
@@ -232,7 +232,7 @@ std::uint32_t restore_sharded(std::span<const std::uint8_t> payload,
   for (std::uint32_t i = 0; i < workers; ++i) {
     was_quarantined += r.get_u8() != 0 ? 1u : 0u;
     const auto shard_payload = r.get_blob();
-    restore_nitro(shard_payload, replica.shard_sketch(i));
+    restore_nitro(shard_payload, replica.instance(i));
   }
   if (!r.exhausted()) {
     throw std::invalid_argument("sharded checkpoint: trailing bytes");

@@ -4,47 +4,11 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/hash.hpp"
 #include "export/recovery.hpp"
+#include "switchsim/sharded_measurement.hpp"
 #include "telemetry/trace.hpp"
 
 namespace nitro::control {
-
-namespace {
-
-using ShardGroup = shard::ShardGroup<core::NitroUnivMon>;
-
-/// --workers N data plane: the ingest thread dispatches into the shard
-/// group's rings; finish() is the per-epoch drain barrier.
-class ShardedDaemonMeasurement final : public switchsim::Measurement {
- public:
-  /// `accuracy` (may be null) is fed from the dispatch thread — the only
-  /// place in the sharded integration that still sees every packet — so
-  /// the exact reservoir matches the post-merge global sketch.
-  ShardedDaemonMeasurement(ShardGroup& group, telemetry::AccuracyObserver* accuracy)
-      : group_(group), accuracy_(accuracy) {}
-
-  void on_packet(const FlowKey& key, std::uint16_t, std::uint64_t ts_ns) override {
-    group_.update(key, 1, ts_ns);
-    if (accuracy_ != nullptr) accuracy_->observe(key);
-  }
-
-  void on_burst(const FlowKey* keys, const std::uint16_t*, std::size_t n,
-                std::uint64_t ts_ns) override {
-    group_.update_burst(std::span<const FlowKey>(keys, n), 1, ts_ns);
-    if (accuracy_ != nullptr) {
-      accuracy_->observe_burst(std::span<const FlowKey>(keys, n));
-    }
-  }
-
-  void finish() override { group_.drain(); }
-
- private:
-  ShardGroup& group_;
-  telemetry::AccuracyObserver* accuracy_;
-};
-
-}  // namespace
 
 MonitorRuntime::MonitorRuntime(MonitorConfig cfg)
     : cfg_(std::move(cfg)),
@@ -103,18 +67,19 @@ MonitorRuntime::MonitorRuntime(MonitorConfig cfg)
     // fraction crosses the threshold escalates the same degrade ladder
     // ring overflow uses instead of melting down.
     shard_opts.valve = cfg_.valve;
-    group_ = std::make_unique<ShardGroup>(
+    group_ = std::make_unique<shard::ShardGroup<core::NitroUnivMon>>(
         cfg_.workers,
         [this](std::uint32_t i) {
           // Same UnivMon seed everywhere (mergeable counters); decorrelated
           // per-shard sampler seeds.
           core::NitroConfig shard_cfg = cfg_.nitro;
-          shard_cfg.seed = mix64(cfg_.nitro.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
+          shard_cfg.seed = shard::shard_sampler_seed(cfg_.nitro.seed, i);
           return core::NitroUnivMon(cfg_.univmon, shard_cfg, cfg_.seed);
         },
         shard_opts);
     group_->attach_telemetry(registry_, "nitro_shard");
-    hook_ = std::make_unique<ShardedDaemonMeasurement>(*group_, accuracy_.get());
+    hook_ = std::make_unique<switchsim::ShardedMeasurement<core::NitroUnivMon>>(
+        *group_, accuracy_.get());
   } else {
     hook_ = std::make_unique<switchsim::InlineMeasurement<DaemonSketchAdapter>>(adapter_);
   }
@@ -226,23 +191,17 @@ void MonitorRuntime::restore_from_collector(Restored& out, std::uint64_t& settle
 
 EpochReport MonitorRuntime::close_epoch() {
   hook_->finish();
+  std::uint32_t degrade_level = 0;
   if (group_) {
     telemetry::ScopedSpan merge_span(telemetry::Stage::kShardMerge);
-    // The drain left the shards quiescent: merge every live shard into the
-    // daemon's idle data plane and reset it for the next epoch, so task
-    // estimation runs on the coherent merged view.  Quarantined shards
-    // (dead/wedged workers caught by the drain watchdog) are excluded —
-    // the report covers the survivors.
-    for (std::uint32_t s = 0; s < group_->workers(); ++s) {
-      if (group_->quarantined(s)) {
-        std::fprintf(stderr, "shard %u QUARANTINED (worker %s); excluded from merge\n", s,
-                     group_->worker_alive(s) ? "wedged" : "dead");
-        continue;
-      }
-      daemon_.data_plane_mut().merge_from(group_->instance(s));
-      group_->instance(s).clear();
+    // Task estimation runs on the merged view; the report covers the
+    // survivors of any quarantine.
+    const shard::MergeResult merged = group_->merge_into(daemon_.data_plane_mut());
+    for (const std::uint32_t s : merged.quarantined) {
+      std::fprintf(stderr, "shard %u QUARANTINED (worker %s); excluded from merge\n", s,
+                   group_->worker_alive(s) ? "wedged" : "dead");
     }
-    group_->reset_degradation();
+    degrade_level = merged.degrade_level;
     daemon_.publish_telemetry();
   }
   if (store_) {
@@ -264,7 +223,12 @@ EpochReport MonitorRuntime::close_epoch() {
                    static_cast<unsigned long long>(daemon_.epoch()));
     }
   }
-  return daemon_.end_epoch();
+  // The shards sampled at up to p·2^-level: carry that level through
+  // end_epoch so the accuracy verdict's bound is inflated to match.
+  daemon_.data_plane_mut().apply_degradation(degrade_level);
+  EpochReport report = daemon_.end_epoch();
+  daemon_.data_plane_mut().apply_degradation(0);
+  return report;
 }
 
 bool MonitorRuntime::shutdown(int flush_ms) {

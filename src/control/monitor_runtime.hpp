@@ -87,8 +87,9 @@ class MonitorRuntime {
 
   /// Drain the hook, merge the live shards (quarantined ones are skipped),
   /// persist a checkpoint frame (a full base every checkpoint_full_every
-  /// frames), then end_epoch, which exports.  DaemonCrash from an injected
-  /// fault propagates after the frame is on disk.
+  /// frames), then end_epoch, which exports; its accuracy verdict sees the
+  /// shards' worst degrade level.  DaemonCrash from an injected fault
+  /// propagates after the frame is on disk.
   EpochReport close_epoch();
 
   /// Flush the exporter for up to `flush_ms`, then stop it and the shard

@@ -266,6 +266,37 @@ class NitroSketch {
 
   std::uint32_t degrade_level() const noexcept { return degrade_level_; }
 
+  // --- Shard support (src/shard/) -----------------------------------------
+
+  /// Fold another instance in (both flush first): base counters, K-ary
+  /// totals included; heavy keys re-estimated against the merged
+  /// counters; packet and sampled counts.  Bases must be identically
+  /// seeded (CounterMatrix::merge checks).  Sampler, detector and rate
+  /// state stay per-instance.
+  void merge_from(NitroSketch& other) {
+    flush();
+    other.flush();
+    base_.merge(other.base_);
+    if (heap_.capacity() > 0) {
+      const auto estimate = [this](const FlowKey& k) { return Traits::query(base_, k); };
+      heap_.merge(other.heap_,
+                  [&estimate](const FlowKey& k, std::int64_t) { return estimate(k); });
+      heap_.refresh(estimate);  // the merge changed every tracked estimate
+    }
+    packets_ += other.packets_;
+    sampled_updates_ += other.sampled_updates_;
+  }
+
+  /// Reset counters, heap and counts for the next epoch while keeping the
+  /// sampler, the detector and the telemetry bindings.
+  void clear() {
+    flush();
+    base_.clear();
+    heap_.clear();
+    packets_ = 0;
+    sampled_updates_ = 0;
+  }
+
   /// Restore ingestion counters from a checkpoint (control/checkpoint.hpp);
   /// counters and heap are restored separately through the codec.
   void set_ingest_counts(std::uint64_t packets, std::uint64_t sampled) noexcept {

@@ -16,8 +16,10 @@
 //  * update() is single-dispatcher: one thread fans out to all rings.
 //  * update_on_shard() supports pre-partitioned producers — at most one
 //    producer thread per shard (each ring stays SPSC).
-//  * drain()/instance() are control-plane: call them only while producers
-//    are quiescent (epoch boundary).
+//  * drain()/instance()/merge_into() are control-plane: call them only
+//    while producers are quiescent (epoch boundary).
+//  * While the group runs, a worker is the only thread that writes its
+//    instance — including the degrade ladder's sampler changes.
 //
 // Supervision (DESIGN.md §10): each worker publishes a heartbeat per poll
 // iteration; drain() doubles as a watchdog — a shard whose worker makes no
@@ -91,9 +93,24 @@ struct ShardItem {
 // carried: it would grow every slot, and so every ring, by a quarter.
 static_assert(sizeof(ShardItem) == 32);
 
+/// Worker i's Nitro sampler seed.  Every shard keeps the configured sketch
+/// seed (mergeable counters) but derives its own sampler seed from it, so
+/// shards do not run the same geometric schedule in lockstep.
+inline std::uint64_t shard_sampler_seed(std::uint64_t seed, std::uint32_t i) noexcept {
+  return mix64(seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
+}
+
+/// What one merge_into() saw: the shards it left out, and the worst live
+/// shard's degrade level (the view was sampled at up to p·2^-level).
+struct MergeResult {
+  std::vector<std::uint32_t> quarantined;
+  std::uint32_t degrade_level = 0;
+};
+
 /// Generic shard fan-out over any instance with
 /// `update(const FlowKey&, std::int64_t, std::uint64_t)` — NitroSketch<B>
-/// and NitroUnivMon both qualify.
+/// and NitroUnivMon both qualify, and both have the merge_from()/clear()
+/// pair merge_into() folds shards with.
 template <typename Instance>
 class ShardGroup {
  public:
@@ -404,23 +421,43 @@ class ShardGroup {
     return std::sqrt(std::ldexp(1.0, static_cast<int>(max_level)));
   }
 
-  /// Control-plane, post-drain: lift degradation for the next epoch (the
-  /// overload that triggered it was epoch-local).  Safe single-threaded:
-  /// after drain() workers only poll their rings.
+  /// Lift degradation for the next epoch (the overload was epoch-local).
+  /// Touches only the shared ladder, so any thread may call it: each
+  /// worker restores its own instance to level 0 before its next items.
   void reset_degradation() {
     for (auto& sp : shards_) {
-      Shard& s = *sp;
-      s.degrade_level.store(0, std::memory_order_release);
-      if constexpr (requires { s.instance.apply_degradation(0u); }) {
-        if (!s.quarantined.load(std::memory_order_acquire)) {
-          s.instance.apply_degradation(0u);
-        }
-      }
-      // Tell the worker its cached applied level is void (see
-      // degrade_resets).  Release pairs with the worker's acquire load.
-      s.degrade_resets.fetch_add(1, std::memory_order_release);
+      sp->degrade_level.store(0, std::memory_order_release);
+      // Release pairs with the worker's acquire load (see degrade_resets).
+      sp->degrade_resets.fetch_add(1, std::memory_order_release);
     }
     publish_supervision_telemetry();
+  }
+
+  /// The epoch-boundary merge, after drain() with producers quiescent:
+  /// fold each live shard into `into` and clear it for the next epoch.
+  /// Quarantined shards are skipped, so the view is exactly the union
+  /// stream of the survivors (Theorem 1 still holds).  Then lift
+  /// degradation: the idle instances directly, the ladder by reset.
+  MergeResult merge_into(Instance& into)
+    requires requires(Instance& a, Instance& b) { a.merge_from(b); a.clear(); }
+  {
+    MergeResult out;
+    for (auto& sp : shards_) {
+      Shard& s = *sp;
+      if (s.quarantined.load(std::memory_order_acquire)) {
+        out.quarantined.push_back(s.index);
+        continue;
+      }
+      out.degrade_level =
+          std::max(out.degrade_level, s.degrade_level.load(std::memory_order_acquire));
+      into.merge_from(s.instance);
+      s.instance.clear();
+      if constexpr (requires { s.instance.apply_degradation(0u); }) {
+        s.instance.apply_degradation(0u);
+      }
+    }
+    reset_degradation();
+    return out;
   }
 
   std::uint64_t total_packets() const noexcept {
@@ -508,12 +545,10 @@ class ShardGroup {
     std::atomic<bool> quarantined{false};  // excluded from merges, producers shed
     std::atomic<std::uint64_t> heartbeat{0};      // one tick per poll iteration
     std::atomic<std::uint32_t> degrade_level{0};  // producer raises, worker applies
-    /// Generation counter bumped by reset_degradation(): the worker
-    /// re-syncs its locally cached applied level to 0 when it changes.
-    /// Without it, a reset followed by re-escalation back to the *same*
-    /// level would be skipped by the worker's level != applied_level
-    /// check, leaving the instance at full probability while the
-    /// producers believe it degraded.
+    /// Generation counter bumped by reset_degradation(): on a change the
+    /// worker restores level 0 and re-syncs its cached applied level, so
+    /// a re-escalation back to the *same* level (e.g. after merge_into()
+    /// restored the instance directly) is re-applied, not skipped.
     std::atomic<std::uint64_t> degrade_resets{0};
     std::atomic<std::uint64_t> applied{0};  // worker -> control barrier
     telemetry::Counter packets;             // producer writes, control reads
@@ -613,16 +648,17 @@ class ShardGroup {
       // Sync the degrade level only when there are items to apply it to.
       // An idle worker must never touch its instance: the control plane
       // owns instances between drain() and the next producer activity
-      // (reset_degradation, epoch reads), and a popped batch proves the
+      // (merge_into, epoch reads), and a popped batch proves the
       // producers are active again, i.e. the control plane is not.
       if constexpr (requires { s.instance.apply_degradation(0u); }) {
         const std::uint64_t resets =
             s.degrade_resets.load(std::memory_order_acquire);
         if (resets != seen_resets) {
-          // The control plane reset the instance to level 0 itself; just
-          // invalidate the local cache so a re-escalation to the old
-          // level is re-applied rather than skipped.
+          // The ladder was reset: restore level 0 here, on the thread
+          // that owns the instance, and void the cached level so a
+          // re-escalation to the old level is re-applied, not skipped.
           seen_resets = resets;
+          s.instance.apply_degradation(0u);
           applied_level = 0;
         }
         const std::uint32_t level =

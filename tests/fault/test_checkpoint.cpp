@@ -16,10 +16,10 @@
 #include "control/daemon.hpp"
 #include "core/nitro_sketch.hpp"
 #include "fault/fault.hpp"
-#include "shard/sharded_nitro.hpp"
+#include "support/nitro_shards.hpp"
+#include "support/temp_path.hpp"
 #include "trace/ground_truth.hpp"
 #include "trace/workloads.hpp"
-#include "support/temp_path.hpp"
 
 namespace nitro::control {
 namespace {
@@ -210,18 +210,18 @@ TEST(ShardedCheckpoint, RoundTripAcrossAWorkerGroup) {
   core::NitroConfig cfg = fixed_cfg(1.0);
   cfg.mode = core::Mode::kVanilla;
   auto make = [] { return sketch::CountMinSketch(5, 2048, 71); };
-  shard::ShardedNitroCountMin source(3, make, cfg);
+  auto source = testing::nitro_shards(3, make, cfg);
   for (const auto& p : stream) source.update(p.key, 1, p.ts_ns);
 
   const auto payload = checkpoint_sharded(source);
-  shard::ShardedNitroCountMin replica(3, make, cfg);
+  auto replica = testing::nitro_shards(3, make, cfg);
   EXPECT_EQ(restore_sharded(payload, replica), 0u);
 
-  const auto& src_snap = source.snapshot();
-  const auto& dst_snap = replica.snapshot();
+  const auto src_view = testing::merged_view(source, make, cfg);
+  const auto dst_view = testing::merged_view(replica, make, cfg);
   for (int rank = 0; rank < 2000; ++rank) {
     const auto key = flow_key_for_rank(rank, 51);
-    EXPECT_EQ(dst_snap.query(key), src_snap.query(key)) << "rank " << rank;
+    EXPECT_EQ(dst_view.query(key), src_view.query(key)) << "rank " << rank;
   }
 }
 
@@ -229,8 +229,8 @@ TEST(ShardedCheckpoint, RejectsWorkerCountMismatch) {
   core::NitroConfig cfg = fixed_cfg(1.0);
   cfg.mode = core::Mode::kVanilla;
   auto make = [] { return sketch::CountMinSketch(4, 512, 72); };
-  shard::ShardedNitroCountMin source(3, make, cfg);
-  shard::ShardedNitroCountMin wrong(2, make, cfg);
+  auto source = testing::nitro_shards(3, make, cfg);
+  auto wrong = testing::nitro_shards(2, make, cfg);
   const auto payload = checkpoint_sharded(source);
   EXPECT_THROW(restore_sharded(payload, wrong), std::invalid_argument);
 }

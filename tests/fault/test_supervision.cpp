@@ -1,7 +1,7 @@
 // Worker supervision: heartbeats, the drain watchdog, shard quarantine
 // with survivor-only merges (Theorem-1 bound on the surviving traffic),
 // the kDegrade overload ladder, and overflow accounting invariants.
-#include "shard/sharded_nitro.hpp"
+#include "shard/shard_group.hpp"
 
 #include <gtest/gtest.h>
 
@@ -14,12 +14,14 @@
 #include <vector>
 
 #include "fault/fault.hpp"
+#include "support/nitro_shards.hpp"
 #include "trace/ground_truth.hpp"
 #include "trace/workloads.hpp"
 
 namespace nitro::shard {
 namespace {
 
+using testing::nitro_shards;
 using trace::flow_key_for_rank;
 
 trace::Trace shard_trace(std::uint64_t packets = 120000, std::uint64_t seed = 81) {
@@ -39,9 +41,8 @@ core::NitroConfig vanilla_cfg() {
 }
 
 TEST(Supervision, HeartbeatsAdvanceOnHealthyWorkers) {
-  ShardedNitroCountMin sharded(2, [] { return sketch::CountMinSketch(4, 512, 31); },
-                               vanilla_cfg());
-  auto& group = sharded.group();
+  auto group =
+      nitro_shards(2, [] { return sketch::CountMinSketch(4, 512, 31); }, vanilla_cfg());
   const std::uint64_t hb0 = group.worker_heartbeat(0);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_GT(group.worker_heartbeat(0), hb0);
@@ -60,8 +61,8 @@ TEST(Supervision, WatchdogQuarantinesAWedgedWorkerWithinTheDrainTimeout) {
 
   ShardOptions opts;
   opts.drain_timeout_ns = 250'000'000ULL;
-  ShardedNitroCountMin sharded(3, [] { return sketch::CountMinSketch(4, 1024, 32); },
-                               vanilla_cfg(), opts);
+  auto sharded = nitro_shards(3, [] { return sketch::CountMinSketch(4, 1024, 32); },
+                              vanilla_cfg(), opts);
   const auto stream = shard_trace(30000);
   for (const auto& p : stream) sharded.update(p.key, 1, p.ts_ns);
 
@@ -75,9 +76,9 @@ TEST(Supervision, WatchdogQuarantinesAWedgedWorkerWithinTheDrainTimeout) {
   EXPECT_TRUE(sharded.quarantined(1));
   EXPECT_FALSE(sharded.quarantined(0));
   EXPECT_FALSE(sharded.quarantined(2));
-  EXPECT_EQ(sharded.group().quarantines(), 1u);
+  EXPECT_EQ(sharded.quarantines(), 1u);
   // The aborted worker exits without touching its instance again.
-  sharded.group().stop();
+  sharded.stop();
   EXPECT_FALSE(sharded.worker_alive(1));
 }
 
@@ -93,21 +94,21 @@ TEST(Supervision, KilledWorkerMidEpochMergesSurvivorsWithinTheoremBound) {
   ShardOptions opts;
   opts.drain_timeout_ns = 250'000'000ULL;
   constexpr std::uint32_t kWidth = 4096;
-  ShardedNitroCountMin sharded(
-      4, [] { return sketch::CountMinSketch(5, kWidth, 33); }, vanilla_cfg(), opts);
+  auto make = [] { return sketch::CountMinSketch(5, kWidth, 33); };
+  auto sharded = nitro_shards(4, make, vanilla_cfg(), opts);
 
   const auto stream = shard_trace(120000);
   for (const auto& p : stream) sharded.update(p.key, 1, p.ts_ns);
 
   EXPECT_FALSE(sharded.drain());
   ASSERT_TRUE(sharded.quarantined(2));
-  const auto& snap = sharded.snapshot();
-  EXPECT_EQ(snap.quarantined_shards, 1u);
+  core::NitroCountMin merged(make(), vanilla_cfg());
+  EXPECT_EQ(sharded.merge_into(merged).quarantined, std::vector<std::uint32_t>{2});
 
   // Surviving stream = everything the live shards applied.
   std::uint64_t surviving = 0;
   for (std::uint32_t s = 0; s < 4; ++s) {
-    if (!sharded.quarantined(s)) surviving += sharded.group().shard_applied(s);
+    if (!sharded.quarantined(s)) surviving += sharded.shard_applied(s);
   }
   ASSERT_GT(surviving, 0u);
   ASSERT_LT(surviving, stream.size());  // the fault really cost coverage
@@ -122,7 +123,7 @@ TEST(Supervision, KilledWorkerMidEpochMergesSurvivorsWithinTheoremBound) {
     const auto key = flow_key_for_rank(rank, 81);
     if (sharded.shard_of(key) == 2) continue;  // lost with the quarantined shard
     const std::int64_t t = truth.count(key);
-    const std::int64_t est = snap.query(key);
+    const std::int64_t est = merged.query(key);
     EXPECT_GE(est, t) << "rank " << rank;  // CM one-sided on survivors
     EXPECT_LE(static_cast<double>(est), static_cast<double>(t) + additive)
         << "rank " << rank;
@@ -138,22 +139,21 @@ TEST(Supervision, DeadWorkerIsDetectedAndDrainStillCompletes) {
 
   ShardOptions opts;
   opts.drain_timeout_ns = 250'000'000ULL;
-  ShardedNitroCountMin sharded(2, [] { return sketch::CountMinSketch(4, 1024, 34); },
-                               vanilla_cfg(), opts);
+  auto make = [] { return sketch::CountMinSketch(4, 1024, 34); };
+  auto group = nitro_shards(2, make, vanilla_cfg(), opts);
   // Give the injected death time to land, then push traffic at both shards.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(sharded.worker_alive(1));
+  EXPECT_FALSE(group.worker_alive(1));
   const auto stream = shard_trace(20000);
   const auto t0 = std::chrono::steady_clock::now();
-  for (const auto& p : stream) sharded.update(p.key, 1, p.ts_ns);
-  sharded.drain();
+  for (const auto& p : stream) group.update(p.key, 1, p.ts_ns);
+  group.drain();
   const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                               std::chrono::steady_clock::now() - t0)
                               .count();
   EXPECT_LT(elapsed_ms, 5000) << "pushes to a dead shard must not spin forever";
   // Every packet is accounted: applied by the live worker, or counted as
   // a drop at the dead shard (kBlock's bounded-liveness fallback).
-  auto& group = sharded.group();
   for (std::uint32_t s = 0; s < 2; ++s) {
     EXPECT_EQ(group.shard_packets(s),
               group.shard_applied(s) + group.shard_drops(s))
@@ -162,8 +162,8 @@ TEST(Supervision, DeadWorkerIsDetectedAndDrainStillCompletes) {
   EXPECT_EQ(group.shard_drops(0), 0u);
   EXPECT_EQ(group.shard_applied(0), group.shard_packets(0));
   EXPECT_GT(group.shard_drops(1), 0u);
-  const auto& snap = sharded.snapshot();  // merged view still answers
-  EXPECT_GT(snap.packets, 0u);
+  const auto merged = testing::merged_view(group, make, vanilla_cfg());
+  EXPECT_GT(merged.packets(), 0u);  // merged view still answers
 }
 
 TEST(Supervision, DegradePolicyStepsProbabilityBeforeShedding) {
@@ -185,14 +185,13 @@ TEST(Supervision, DegradePolicyStepsProbabilityBeforeShedding) {
   opts.overflow = OverflowPolicy::kDegrade;
   opts.max_degrade_steps = 7;
   telemetry::Registry registry;
-  ShardedNitroCountMin sharded(1, [] { return sketch::CountMinSketch(4, 2048, 35); },
-                               cfg, opts);
-  sharded.attach_telemetry(registry, "dp");
+  auto make = [] { return sketch::CountMinSketch(4, 2048, 35); };
+  auto group = nitro_shards(1, make, cfg, opts);
+  group.attach_telemetry(registry, "dp");
 
   const auto stream = shard_trace(6000);
-  for (const auto& p : stream) sharded.update(p.key, 1, p.ts_ns);
+  for (const auto& p : stream) group.update(p.key, 1, p.ts_ns);
 
-  auto& group = sharded.group();
   EXPECT_GT(group.degrade_level(0), 0u);
   EXPECT_GT(group.estimated_error_inflation(), 1.0);
   EXPECT_DOUBLE_EQ(group.estimated_error_inflation(),
@@ -201,12 +200,12 @@ TEST(Supervision, DegradePolicyStepsProbabilityBeforeShedding) {
   // Lift the stall storm; the worker catches up and the degraded
   // probability is visible on the instance.
   scoped.reset();
-  sharded.drain();
+  group.drain();
   // Accounting: every packet was applied or counted as shed — none lost.
   EXPECT_EQ(group.shard_packets(0),
             group.shard_applied(0) + group.shard_drops(0));
   EXPECT_GT(group.shard_drops(0), 0u);
-  EXPECT_LT(sharded.shard_sketch(0).current_probability(), cfg.probability);
+  EXPECT_LT(group.instance(0).current_probability(), cfg.probability);
 
   // Per-shard degrade telemetry counted the escalations.
   std::uint64_t steps = 0;
@@ -216,11 +215,14 @@ TEST(Supervision, DegradePolicyStepsProbabilityBeforeShedding) {
   });
   EXPECT_EQ(steps, group.degrade_level(0));
 
-  // Epoch boundary: degradation resets for the next epoch.
-  sharded.reset_degradation();
+  // Epoch boundary: the merge reports the level it ran at, then resets
+  // degradation for the next epoch.
+  const std::uint32_t level = group.degrade_level(0);
+  core::NitroCountMin merged(make(), cfg);
+  EXPECT_EQ(group.merge_into(merged).degrade_level, level);
   EXPECT_EQ(group.degrade_level(0), 0u);
   EXPECT_DOUBLE_EQ(group.estimated_error_inflation(), 1.0);
-  EXPECT_DOUBLE_EQ(sharded.shard_sketch(0).current_probability(), cfg.probability);
+  EXPECT_DOUBLE_EQ(group.instance(0).current_probability(), cfg.probability);
 }
 
 TEST(Supervision, DropPolicyBurstAccountingIsExact) {
@@ -234,19 +236,18 @@ TEST(Supervision, DropPolicyBurstAccountingIsExact) {
   core::NitroConfig cfg = vanilla_cfg();
   ShardOptions opts;
   opts.overflow = OverflowPolicy::kDrop;
-  ShardedNitroCountMin sharded(1, [] { return sketch::CountMinSketch(4, 512, 36); },
-                               cfg, opts);
+  auto group =
+      nitro_shards(1, [] { return sketch::CountMinSketch(4, 512, 36); }, cfg, opts);
   std::vector<FlowKey> burst;
   for (int i = 0; i < 100; ++i) burst.push_back(flow_key_for_rank(i, 5));
-  sharded.update_burst(burst, 1, 0);
-  sharded.update(burst[0], 1, 0);
+  group.update_burst(burst, 1, 0);
+  group.update(burst[0], 1, 0);
 
-  auto& group = sharded.group();
   EXPECT_EQ(group.shard_packets(0), 101u);
   EXPECT_EQ(group.shard_drops(0), 101u);
   EXPECT_EQ(group.shard_applied(0), 0u);
-  EXPECT_EQ(sharded.packets(), 101u);
-  EXPECT_EQ(sharded.drops(), 101u);
+  EXPECT_EQ(group.total_packets(), 101u);
+  EXPECT_EQ(group.total_drops(), 101u);
 }
 
 TEST(Supervision, QuarantinedShardIsShedNotBlockedOn) {
@@ -258,14 +259,14 @@ TEST(Supervision, QuarantinedShardIsShedNotBlockedOn) {
 
   ShardOptions opts;
   opts.drain_timeout_ns = 200'000'000ULL;
-  ShardedNitroCountMin sharded(2, [] { return sketch::CountMinSketch(4, 512, 37); },
-                               vanilla_cfg(), opts);
+  auto sharded = nitro_shards(2, [] { return sketch::CountMinSketch(4, 512, 37); },
+                              vanilla_cfg(), opts);
   const auto stream = shard_trace(5000);
   for (const auto& p : stream) sharded.update(p.key, 1, p.ts_ns);
   EXPECT_FALSE(sharded.drain());
   ASSERT_TRUE(sharded.quarantined(0));
 
-  const std::uint64_t drops_before = sharded.group().shard_drops(0);
+  const std::uint64_t drops_before = sharded.shard_drops(0);
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < 1000; ++i) {
     sharded.update_on_shard(0, flow_key_for_rank(i, 6), 1, 0);
@@ -274,7 +275,7 @@ TEST(Supervision, QuarantinedShardIsShedNotBlockedOn) {
                               std::chrono::steady_clock::now() - t0)
                               .count();
   EXPECT_LT(elapsed_ms, 1000);
-  EXPECT_EQ(sharded.group().shard_drops(0), drops_before + 1000);
+  EXPECT_EQ(sharded.shard_drops(0), drops_before + 1000);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -32,7 +33,7 @@
 #include "export/collector.hpp"
 #include "export/exporter.hpp"
 #include "fault/fault.hpp"
-#include "shard/sharded_nitro.hpp"
+#include "shard/shard_group.hpp"
 #include "sketch/anomaly.hpp"
 #include "sketch/univmon.hpp"
 #include "support/monitor_config.hpp"
@@ -323,7 +324,7 @@ shard::ShardGroup<core::NitroUnivMon> make_group(const shard::ShardOptions& opts
       2,
       [&](std::uint32_t i) {
         core::NitroConfig cfg = vanilla_config();
-        cfg.seed = mix64(cfg.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
+        cfg.seed = shard::shard_sampler_seed(cfg.seed, i);
         return core::NitroUnivMon(um_config(), cfg, kSeed);
       },
       opts);
@@ -411,6 +412,28 @@ TEST(AdversarialChaos, BlindedValveStillCountsTripsSoTheFaultIsVisible) {
   for (std::uint32_t i = 0; i < group.workers(); ++i) {
     EXPECT_EQ(group.degrade_level(i), 0u) << "blinded valve must not escalate";
   }
+}
+
+TEST(AdversarialChaos, ShardedMonitorAccuracyVerdictCarriesTheDegradeLevel) {
+  // nitro_monitor --workers 2 --valve --accuracy-sample: the storm runs
+  // the shards at p·2^-level, so the epoch's Theorem-1 bound must be
+  // inflated by sqrt(2^level).  The merged data plane carries the shards'
+  // worst level into end_epoch; without it a healthy degraded epoch is
+  // judged against the undegraded bound.
+  control::MonitorConfig cfg;
+  cfg.univmon = um_config();
+  cfg.seed = kSeed;
+  cfg.workers = 2;
+  cfg.valve = valve_options().valve;
+  cfg.accuracy_sample = 64;
+  control::MonitorRuntime rt(cfg);
+  rt.restore();
+  for (const auto& p : storm_trace().trace) rt.hook().on_packet(p.key, 0, p.ts_ns);
+  const auto report = rt.close_epoch();
+  EXPECT_GT(report.accuracy.degrade_level, 0);
+  EXPECT_DOUBLE_EQ(report.accuracy.inflation,
+                   std::sqrt(std::ldexp(1.0, report.accuracy.degrade_level)));
+  EXPECT_TRUE(rt.shutdown(1000));
 }
 
 // ===========================================================================

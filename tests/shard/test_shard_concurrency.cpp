@@ -1,6 +1,6 @@
 // Cross-thread behaviour of the shard layer, written for TSan
 // (`-DNITRO_SANITIZE=thread`, `ctest -L tsan`): pre-partitioned
-// multi-producer dispatch, epoch-boundary drain/snapshot interleaving,
+// multi-producer dispatch, epoch-boundary drain/merge interleaving,
 // concurrent telemetry readers, the kDrop overflow policy, and the
 // ShardGroup<NitroUnivMon> merge path the monitor daemon uses.
 #include <gtest/gtest.h>
@@ -11,13 +11,16 @@
 #include <vector>
 
 #include "core/nitro_univmon.hpp"
-#include "shard/sharded_nitro.hpp"
+#include "shard/shard_group.hpp"
+#include "support/nitro_shards.hpp"
 #include "trace/ground_truth.hpp"
 #include "trace/workloads.hpp"
 
 namespace nitro::shard {
 namespace {
 
+using testing::merged_view;
+using testing::nitro_shards;
 using trace::flow_key_for_rank;
 
 trace::Trace conc_trace(std::uint64_t packets = 80000, std::uint64_t seed = 61) {
@@ -42,10 +45,9 @@ TEST(ShardConcurrency, PrePartitionedProducersMatchSingleInstance) {
   // union stream.
   constexpr std::uint32_t kWorkers = 4;
   const auto stream = conc_trace();
-  ShardedNitroCountMin sharded(
-      kWorkers, [] { return sketch::CountMinSketch(5, 4096, 31); }, vanilla_cfg());
-  core::NitroSketch<sketch::CountMinSketch> single(sketch::CountMinSketch(5, 4096, 31),
-                                                   vanilla_cfg());
+  auto make = [] { return sketch::CountMinSketch(5, 4096, 31); };
+  auto sharded = nitro_shards(kWorkers, make, vanilla_cfg());
+  core::NitroSketch<sketch::CountMinSketch> single(make(), vanilla_cfg());
   for (const auto& p : stream) single.update(p.key, 1, p.ts_ns);
 
   std::vector<std::thread> producers;
@@ -57,22 +59,23 @@ TEST(ShardConcurrency, PrePartitionedProducersMatchSingleInstance) {
     });
   }
   for (auto& t : producers) t.join();
-  const auto& snap = sharded.snapshot();
-  EXPECT_EQ(snap.packets, stream.size());
-  EXPECT_EQ(snap.drops, 0u);
+  const auto merged = merged_view(sharded, make, vanilla_cfg());
+  EXPECT_EQ(merged.packets(), stream.size());
+  EXPECT_EQ(sharded.total_drops(), 0u);
   for (int rank = 0; rank < 3000; ++rank) {
     const auto key = flow_key_for_rank(rank, 61);
-    EXPECT_EQ(snap.query(key), single.query(key)) << "rank " << rank;
+    EXPECT_EQ(merged.query(key), single.query(key)) << "rank " << rank;
   }
 }
 
 TEST(ShardConcurrency, SnapshotAtEpochBoundariesStaysCoherent) {
-  // Dispatcher alternates traffic bursts with epoch-boundary snapshots.
-  // Every snapshot must account for exactly the packets dispatched so far
-  // (drain barrier), monotonically.
+  // Dispatcher alternates traffic bursts with epoch-boundary merges into
+  // a running total.  Every merge must account for exactly the packets
+  // dispatched so far (drain barrier), monotonically.
   const auto stream = conc_trace(60000);
-  ShardedNitroCountMin sharded(3, [] { return sketch::CountMinSketch(5, 2048, 32); },
-                               vanilla_cfg());
+  auto make = [] { return sketch::CountMinSketch(5, 2048, 32); };
+  auto sharded = nitro_shards(3, make, vanilla_cfg());
+  core::NitroSketch<sketch::CountMinSketch> total(make(), vanilla_cfg());
   constexpr std::size_t kEpochs = 6;
   const std::size_t chunk = stream.size() / kEpochs;
   std::uint64_t prev_packets = 0;
@@ -82,19 +85,18 @@ TEST(ShardConcurrency, SnapshotAtEpochBoundariesStaysCoherent) {
     for (std::size_t i = begin; i < end; ++i) {
       sharded.update(stream[i].key, 1, stream[i].ts_ns);
     }
-    const auto& snap = sharded.snapshot();
-    EXPECT_EQ(snap.packets, end);
-    EXPECT_GT(snap.packets, prev_packets);
-    prev_packets = snap.packets;
+    sharded.drain();
+    sharded.merge_into(total);
+    EXPECT_EQ(total.packets(), end);
+    EXPECT_GT(total.packets(), prev_packets);
+    prev_packets = total.packets();
   }
   // Final view equals a single-instance run of the whole stream.
-  core::NitroSketch<sketch::CountMinSketch> single(sketch::CountMinSketch(5, 2048, 32),
-                                                   vanilla_cfg());
+  core::NitroSketch<sketch::CountMinSketch> single(make(), vanilla_cfg());
   for (const auto& p : stream) single.update(p.key, 1, p.ts_ns);
-  const auto& snap = sharded.snapshot();
   for (int rank = 0; rank < 1000; ++rank) {
     const auto key = flow_key_for_rank(rank, 61);
-    EXPECT_EQ(snap.query(key), single.query(key)) << "rank " << rank;
+    EXPECT_EQ(total.query(key), single.query(key)) << "rank " << rank;
   }
 }
 
@@ -103,13 +105,13 @@ TEST(ShardConcurrency, TelemetryCountersReadableDuringDispatch) {
   // is pushing — the counters are relaxed atomics, so TSan must stay
   // quiet and the reads must be monotone.
   const auto stream = conc_trace(50000);
-  ShardedNitroCountMin sharded(2, [] { return sketch::CountMinSketch(4, 2048, 33); },
-                               vanilla_cfg());
+  auto sharded =
+      nitro_shards(2, [] { return sketch::CountMinSketch(4, 2048, 33); }, vanilla_cfg());
   std::atomic<bool> stop{false};
   std::thread reader([&] {
     std::uint64_t prev = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      const std::uint64_t now = sharded.packets();
+      const std::uint64_t now = sharded.total_packets();
       EXPECT_GE(now, prev);
       prev = now;
     }
@@ -118,7 +120,7 @@ TEST(ShardConcurrency, TelemetryCountersReadableDuringDispatch) {
   sharded.drain();
   stop.store(true, std::memory_order_release);
   reader.join();
-  EXPECT_EQ(sharded.packets(), stream.size());
+  EXPECT_EQ(sharded.total_packets(), stream.size());
 }
 
 TEST(ShardConcurrency, DropPolicyNeverBlocksAndAccountsEveryPacket) {
@@ -129,14 +131,14 @@ TEST(ShardConcurrency, DropPolicyNeverBlocksAndAccountsEveryPacket) {
   opts.ring_capacity = 64;
   opts.overflow = OverflowPolicy::kDrop;
   const auto stream = conc_trace(50000);
-  ShardedNitroCountMin sharded(
-      2, [] { return sketch::CountMinSketch(4, 2048, 34); }, vanilla_cfg(), opts);
+  auto make = [] { return sketch::CountMinSketch(4, 2048, 34); };
+  auto sharded = nitro_shards(2, make, vanilla_cfg(), opts);
   for (const auto& p : stream) sharded.update(p.key, 1, p.ts_ns);
-  const auto& snap = sharded.snapshot();
-  EXPECT_EQ(snap.packets, stream.size());
-  EXPECT_EQ(snap.base.total(),
+  const auto merged = merged_view(sharded, make, vanilla_cfg());
+  EXPECT_EQ(sharded.total_packets(), stream.size());
+  EXPECT_EQ(merged.base().total(),
             static_cast<std::int64_t>(stream.size()) -
-                static_cast<std::int64_t>(snap.drops));
+                static_cast<std::int64_t>(sharded.total_drops()));
 }
 
 TEST(ShardConcurrency, UnivMonShardsMergeIntoGlobalView) {
@@ -163,16 +165,13 @@ TEST(ShardConcurrency, UnivMonShardsMergeIntoGlobalView) {
         2,
         [&](std::uint32_t i) {
           core::NitroConfig shard_cfg = cfg;
-          shard_cfg.seed = mix64(cfg.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
+          shard_cfg.seed = shard_sampler_seed(cfg.seed, i);
           return core::NitroUnivMon(um_cfg, shard_cfg, kUmSeed);
         },
         ShardOptions{});
     for (const auto& p : stream) group.update(p.key, 1, p.ts_ns);
     group.drain();
-    for (std::uint32_t s = 0; s < group.workers(); ++s) {
-      aggregate.merge_from(group.instance(s));
-      group.instance(s).clear();
-    }
+    EXPECT_TRUE(group.merge_into(aggregate).quarantined.empty());
   }
   for (int rank = 0; rank < 500; ++rank) {
     const auto key = flow_key_for_rank(rank, 61);
@@ -203,7 +202,7 @@ TEST(ShardConcurrency, ValveTripsUnderPrePartitionedProducersStayRaceFree) {
       kWorkers,
       [&](std::uint32_t i) {
         core::NitroConfig cfg = vanilla_cfg();
-        cfg.seed = mix64(cfg.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
+        cfg.seed = shard_sampler_seed(cfg.seed, i);
         return core::NitroUnivMon(sketch::UnivMonConfig{}, cfg, 77);
       },
       opts);
@@ -261,7 +260,7 @@ TEST(ShardConcurrency, ResetDegradationRacingWorkersReappliesTheLevel) {
       2,
       [&](std::uint32_t i) {
         core::NitroConfig cfg = vanilla_cfg();
-        cfg.seed = mix64(cfg.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
+        cfg.seed = shard_sampler_seed(cfg.seed, i);
         return core::NitroUnivMon(sketch::UnivMonConfig{}, cfg, 77);
       },
       opts);

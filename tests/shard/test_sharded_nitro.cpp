@@ -1,7 +1,7 @@
-// ShardedNitroSketch: dispatch invariants, merged-view correctness
-// against a single-instance run, snapshot caching, heap re-estimation,
-// and pipeline integration.
-#include "shard/sharded_nitro.hpp"
+// ShardGroup<NitroSketch<Base>>: dispatch invariants, merge_into's
+// merged view against a single-instance run, epoch-boundary clearing,
+// heap re-estimation, and pipeline integration.
+#include "shard/shard_group.hpp"
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "support/nitro_shards.hpp"
 #include "switchsim/ovs_pipeline.hpp"
 #include "switchsim/sharded_measurement.hpp"
 #include "trace/ground_truth.hpp"
@@ -17,6 +18,8 @@
 namespace nitro::shard {
 namespace {
 
+using testing::merged_view;
+using testing::nitro_shards;
 using trace::flow_key_for_rank;
 
 trace::Trace shard_trace(std::uint64_t packets = 120000, std::uint64_t seed = 51) {
@@ -35,9 +38,13 @@ core::NitroConfig vanilla_cfg(bool top_keys = true) {
   return cfg;
 }
 
+TEST(ShardSamplerSeed, MatchesTheInlineDerivation) {
+  EXPECT_EQ(shard_sampler_seed(42, 3), mix64(42 ^ (0x9e3779b97f4a7c15ULL * 4)));
+}
+
 TEST(ShardedNitro, DispatchIsStickyPerFlowAndCoversAllShards) {
-  ShardedNitroCountMin sharded(4, [] { return sketch::CountMinSketch(4, 1024, 3); },
-                               vanilla_cfg(false));
+  auto sharded = nitro_shards(4, [] { return sketch::CountMinSketch(4, 1024, 3); },
+                              vanilla_cfg(false));
   std::vector<bool> hit(4, false);
   for (int rank = 0; rank < 2000; ++rank) {
     const auto key = flow_key_for_rank(rank, 9);
@@ -51,20 +58,19 @@ TEST(ShardedNitro, DispatchIsStickyPerFlowAndCoversAllShards) {
 
 TEST(ShardedNitro, VanillaMergedSnapshotEqualsSingleInstanceExactly) {
   const auto stream = shard_trace();
-  ShardedNitroCountMin sharded(4, [] { return sketch::CountMinSketch(5, 4096, 21); },
-                               vanilla_cfg());
-  core::NitroSketch<sketch::CountMinSketch> single(sketch::CountMinSketch(5, 4096, 21),
-                                                   vanilla_cfg());
+  auto make = [] { return sketch::CountMinSketch(5, 4096, 21); };
+  auto sharded = nitro_shards(4, make, vanilla_cfg());
+  core::NitroSketch<sketch::CountMinSketch> single(make(), vanilla_cfg());
   for (const auto& p : stream) {
     sharded.update(p.key, 1, p.ts_ns);
     single.update(p.key, 1, p.ts_ns);
   }
-  const auto& snap = sharded.snapshot();
-  EXPECT_EQ(snap.packets, stream.size());
-  EXPECT_EQ(snap.drops, 0u);
+  const auto merged = merged_view(sharded, make, vanilla_cfg());
+  EXPECT_EQ(merged.packets(), stream.size());
+  EXPECT_EQ(sharded.total_drops(), 0u);
   for (int rank = 0; rank < 4000; ++rank) {
     const auto key = flow_key_for_rank(rank, 51);
-    EXPECT_EQ(snap.query(key), single.query(key)) << "rank " << rank;
+    EXPECT_EQ(merged.query(key), single.query(key)) << "rank " << rank;
   }
 }
 
@@ -79,10 +85,9 @@ TEST(ShardedNitro, BurstDispatchEqualsPerPacketDispatchExactly) {
   keys.reserve(stream.size());
   for (const auto& p : stream) keys.push_back(p.key);
 
-  ShardedNitroCountMin sharded(4, [] { return sketch::CountMinSketch(5, 4096, 28); },
-                               vanilla_cfg());
-  core::NitroSketch<sketch::CountMinSketch> single(sketch::CountMinSketch(5, 4096, 28),
-                                                   vanilla_cfg());
+  auto make = [] { return sketch::CountMinSketch(5, 4096, 28); };
+  auto sharded = nitro_shards(4, make, vanilla_cfg());
+  core::NitroSketch<sketch::CountMinSketch> single(make(), vanilla_cfg());
   std::size_t i = 0;
   while (i < keys.size()) {
     const std::size_t n = std::min<std::size_t>(32, keys.size() - i);
@@ -91,66 +96,71 @@ TEST(ShardedNitro, BurstDispatchEqualsPerPacketDispatchExactly) {
     i += n;
   }
   for (const auto& p : stream) single.update(p.key, 1, p.ts_ns);
-  const auto& snap = sharded.snapshot();
-  EXPECT_EQ(snap.packets, stream.size());
-  EXPECT_EQ(snap.drops, 0u);
+  const auto merged = merged_view(sharded, make, vanilla_cfg());
+  EXPECT_EQ(merged.packets(), stream.size());
+  EXPECT_EQ(sharded.total_drops(), 0u);
   for (int rank = 0; rank < 4000; ++rank) {
     const auto key = flow_key_for_rank(rank, 51);
-    EXPECT_EQ(snap.query(key), single.query(key)) << "rank " << rank;
+    EXPECT_EQ(merged.query(key), single.query(key)) << "rank " << rank;
   }
 }
 
 TEST(ShardedNitro, KAryMergeFoldsShardTotals) {
   const auto stream = shard_trace(60000);
-  ShardedNitroKAry sharded(3, [] { return sketch::KArySketch(5, 4096, 22); },
-                           vanilla_cfg(false));
-  core::NitroSketch<sketch::KArySketch> single(sketch::KArySketch(5, 4096, 22),
-                                               vanilla_cfg(false));
+  auto make = [] { return sketch::KArySketch(5, 4096, 22); };
+  auto sharded = nitro_shards(3, make, vanilla_cfg(false));
+  core::NitroSketch<sketch::KArySketch> single(make(), vanilla_cfg(false));
   for (const auto& p : stream) {
     sharded.update(p.key, 1, p.ts_ns);
     single.update(p.key, 1, p.ts_ns);
   }
-  const auto& snap = sharded.snapshot();
+  const auto merged = merged_view(sharded, make, vanilla_cfg(false));
   // Each shard counted only its own packets; the merge must recover the
   // full stream length for the unbiased estimator.
-  EXPECT_EQ(snap.base.total(), static_cast<std::int64_t>(stream.size()));
+  EXPECT_EQ(merged.base().total(), static_cast<std::int64_t>(stream.size()));
   for (int rank = 0; rank < 1000; ++rank) {
     const auto key = flow_key_for_rank(rank, 51);
-    EXPECT_EQ(snap.query(key), single.query(key)) << "rank " << rank;
+    EXPECT_EQ(merged.query(key), single.query(key)) << "rank " << rank;
   }
 }
 
 TEST(ShardedNitro, TopKeysReestimatedFromMergedCounters) {
   const auto stream = shard_trace();
-  ShardedNitroCountMin sharded(4, [] { return sketch::CountMinSketch(5, 4096, 23); },
-                               vanilla_cfg());
+  auto make = [] { return sketch::CountMinSketch(5, 4096, 23); };
+  auto sharded = nitro_shards(4, make, vanilla_cfg());
   for (const auto& p : stream) sharded.update(p.key, 1, p.ts_ns);
-  const auto top = sharded.top_keys();
+  const auto merged = merged_view(sharded, make, vanilla_cfg());
+  const auto top = merged.top_keys();
   ASSERT_GT(top.size(), 0u);
-  const auto& snap = sharded.snapshot();
   trace::GroundTruth truth(stream);
   for (const auto& e : top) {
     // Heap estimates come from the merged counters, not stale per-shard
     // views: they must match a direct merged query and CM's one-sided
     // guarantee (estimate >= true count) must hold globally.
-    EXPECT_EQ(e.estimate, snap.query(e.key));
+    EXPECT_EQ(e.estimate, merged.query(e.key));
     EXPECT_GE(e.estimate, truth.count(e.key));
   }
   // The true heaviest flow must be tracked.
-  EXPECT_TRUE(snap.heap.contains(truth.top_k(1)[0].first));
+  EXPECT_TRUE(merged.heap().contains(truth.top_k(1)[0].first));
 }
 
-TEST(ShardedNitro, SnapshotIsCachedUntilNewTraffic) {
-  ShardedNitroCountMin sharded(2, [] { return sketch::CountMinSketch(4, 1024, 24); },
-                               vanilla_cfg(false));
+TEST(ShardedNitro, MergeIntoClearsShardsForTheNextEpoch) {
+  auto make = [] { return sketch::CountMinSketch(4, 1024, 24); };
+  auto sharded = nitro_shards(2, make, vanilla_cfg(false));
   const auto key = flow_key_for_rank(0, 1);
   sharded.update(key, 1, 0);
-  const auto* first = &sharded.snapshot();
-  EXPECT_EQ(first, &sharded.snapshot());  // no traffic: same object
+  auto total = merged_view(sharded, make, vanilla_cfg(false));
+  EXPECT_EQ(total.query(key), 1);
   sharded.update(key, 1, 0);
-  const auto& second = sharded.snapshot();
-  EXPECT_EQ(second.packets, 2u);
-  EXPECT_EQ(second.query(key), 2);
+  // The next epoch's view holds only the next epoch's packet ...
+  const auto next = merged_view(sharded, make, vanilla_cfg(false));
+  EXPECT_EQ(next.packets(), 1u);
+  EXPECT_EQ(next.query(key), 1);
+  // ... and an empty epoch merges nothing into a running total.
+  sharded.drain();
+  sharded.merge_into(total);
+  EXPECT_EQ(total.packets(), 1u);
+  EXPECT_EQ(total.query(key), 1);
 }
 
 TEST(ShardedNitro, SampledMergedEstimatesTrackTruth) {
@@ -160,42 +170,42 @@ TEST(ShardedNitro, SampledMergedEstimatesTrackTruth) {
   cfg.track_top_keys = true;
   cfg.top_keys = 128;
   const auto stream = shard_trace(300000);
-  ShardedNitroCountSketch sharded(4, [] { return sketch::CountSketch(5, 8192, 25); },
-                                  cfg);
+  auto make = [] { return sketch::CountSketch(5, 8192, 25); };
+  auto sharded = nitro_shards(4, make, cfg);
   for (const auto& p : stream) sharded.update(p.key, 1, p.ts_ns);
+  const auto merged = merged_view(sharded, make, cfg);
   trace::GroundTruth truth(stream);
   for (const auto& [key, count] : truth.top_k(5)) {
-    EXPECT_NEAR(static_cast<double>(sharded.query(key)), static_cast<double>(count),
+    EXPECT_NEAR(static_cast<double>(merged.query(key)), static_cast<double>(count),
                 0.3 * static_cast<double>(count) + 100.0);
   }
 }
 
 TEST(ShardedNitro, DrivesOvsPipelineAsMeasurementHook) {
   const auto stream = shard_trace(80000);
-  ShardedNitroCountMin sharded(3, [] { return sketch::CountMinSketch(5, 4096, 26); },
-                               vanilla_cfg());
-  switchsim::ShardedNitroMeasurement<sketch::CountMinSketch> meas(sharded);
+  auto make = [] { return sketch::CountMinSketch(5, 4096, 26); };
+  auto sharded = nitro_shards(3, make, vanilla_cfg());
+  switchsim::ShardedMeasurement<core::NitroCountMin> meas(sharded);
   switchsim::OvsPipeline pipe(meas);
   const auto stats = pipe.run(switchsim::materialize(stream));
   EXPECT_EQ(stats.packets, stream.size());
-  const auto& snap = sharded.snapshot();
-  EXPECT_EQ(snap.packets, stream.size());
+  const auto merged = merged_view(sharded, make, vanilla_cfg());
+  EXPECT_EQ(merged.packets(), stream.size());
   trace::GroundTruth truth(stream);
   for (const auto& [key, count] : truth.top_k(5)) {
-    EXPECT_GE(snap.query(key), count);  // CM one-sided bound, merged view
+    EXPECT_GE(merged.query(key), count);  // CM one-sided bound, merged view
   }
 }
 
 TEST(ShardedNitro, PerShardTelemetryAndMergedGauges) {
   telemetry::Registry registry;
-  ShardedNitroCountMin sharded(2, [] { return sketch::CountMinSketch(4, 1024, 27); },
-                               vanilla_cfg());
+  auto make = [] { return sketch::CountMinSketch(4, 1024, 27); };
+  auto sharded = nitro_shards(2, make, vanilla_cfg());
   sharded.attach_telemetry(registry, "dp");
   const auto stream = shard_trace(20000);
   for (const auto& p : stream) sharded.update(p.key, 1, p.ts_ns);
-  sharded.snapshot();
+  const auto merged = merged_view(sharded, make, vanilla_cfg());
   std::uint64_t shard_packets = 0;
-  double merged_packets = -1.0;
   double workers = -1.0;
   registry.for_each_counter([&](const std::string& name, const std::string&,
                                 const telemetry::Counter& c) {
@@ -205,17 +215,16 @@ TEST(ShardedNitro, PerShardTelemetryAndMergedGauges) {
   });
   registry.for_each_gauge([&](const std::string& name, const std::string&,
                               const telemetry::Gauge& g) {
-    if (name == "dp_merged_packets") merged_packets = g.value();
     if (name == "dp_workers") workers = g.value();
   });
   EXPECT_EQ(shard_packets, stream.size());
-  EXPECT_EQ(merged_packets, static_cast<double>(stream.size()));
+  EXPECT_EQ(merged.packets(), stream.size());  // the merged view covers them all
   EXPECT_EQ(workers, 2.0);
 }
 
 TEST(ShardGroup, RejectsZeroWorkers) {
-  EXPECT_THROW(ShardedNitroCountMin(0, [] { return sketch::CountMinSketch(4, 1024, 1); },
-                                    vanilla_cfg(false)),
+  EXPECT_THROW(nitro_shards(0, [] { return sketch::CountMinSketch(4, 1024, 1); },
+                            vanilla_cfg(false)),
                std::invalid_argument);
 }
 

@@ -193,9 +193,8 @@ TEST(AccuracyObserver, KDegradeFaultInjectionInflatesTheReportedBound) {
   scoped.reset();  // lift the stall so drain completes
   group.drain();
   core::NitroUnivMon merged(um_cfg, cfg, kUmSeed);
-  merged.merge_from(group.instance(0));
-  const auto level = group.degrade_level(0);
-  merged.apply_degradation(level);  // daemon's merge mirrors the shard level
+  const std::uint32_t level = group.merge_into(merged).degrade_level;
+  merged.apply_degradation(level);  // as MonitorRuntime::close_epoch does
 
   const auto acc = obs.close_epoch(
       [&merged](const FlowKey& k) { return merged.query(k); },
