@@ -99,6 +99,26 @@ double mpps_of_direct_replay_ts(const trace::Trace& stream, Sketch& sketch) {
   return static_cast<double>(stream.size()) / secs / 1e6;
 }
 
+/// Paired, interleaved measurement for the A-vs-B gates: run `pairs`
+/// (a, b) blocks back to back, alternating which runs first so a warm-up
+/// or boost bias toward one slot cancels, and hand each pair's results to
+/// `on_pair(a, b)`.  Interference only ever slows a block down, so callers
+/// keep the cleanest pair by their own statistic.
+template <typename RunA, typename RunB, typename OnPair>
+void paired_interleaved(int pairs, RunA&& run_a, RunB&& run_b, OnPair&& on_pair) {
+  for (int rep = 0; rep < pairs; ++rep) {
+    if (rep % 2 == 0) {
+      const auto a = run_a();
+      const auto b = run_b();
+      on_pair(a, b);
+    } else {
+      const auto b = run_b();
+      const auto a = run_a();
+      on_pair(a, b);
+    }
+  }
+}
+
 /// Write the bench's telemetry registry as a JSON sidecar next to the
 /// printed rows (e.g. "tab02_telemetry.json"), so figure scripts can read
 /// stage shares / p-timelines without scraping stdout.

@@ -118,14 +118,16 @@ void run() {
   const double with_both = best(both_plane, &both_valve);
 
   // Headline: paired interleaved blocks, best-pair overhead (the same
-  // idiom as the other paired gates — back-to-back runs cancel the
-  // frequency/cache drift that dwarfs the effect in independent rows).
+  // idiom as the other paired gates — back-to-back runs in alternating
+  // order cancel the frequency/cache drift that dwarfs the effect in
+  // independent rows).
   double paired_overhead = 1e9;
-  for (int r = 0; r < 5; ++r) {
-    const double b = mpps_replay(stream, base_plane, nullptr);
-    const double d = mpps_replay(stream, both_plane, &both_valve);
-    paired_overhead = std::min(paired_overhead, (b / d - 1.0) * 100.0);
-  }
+  paired_interleaved(
+      5, [&] { return mpps_replay(stream, base_plane, nullptr); },
+      [&] { return mpps_replay(stream, both_plane, &both_valve); },
+      [&](double b, double d) {
+        paired_overhead = std::min(paired_overhead, (b / d - 1.0) * 100.0);
+      });
 
   const auto overhead = [&](double mpps) {
     return (base / mpps - 1.0) * 100.0;

@@ -269,30 +269,25 @@ int main(int argc, char** argv) {
   double credit_at_min = 0.0;
   double p99_service_ms = 0.0, p99_wall_ms = 0.0;
   std::uint64_t queries = 0, generations = 0;
-  for (int rep = 0; rep < g_pairs; ++rep) {
-    BlockResult base, loaded;
-    if (rep % 2 == 0) {
-      base = run_block(streams, 0);
-      loaded = run_block(streams, kReaders);
-    } else {
-      loaded = run_block(streams, kReaders);
-      base = run_block(streams, 0);
-    }
-    base_best = std::max(base_best, base.ingest_eps);
-    loaded_best = std::max(loaded_best, loaded.ingest_eps);
-    const double overhead =
-        100.0 * (base.ingest_eps - loaded.ingest_eps) / base.ingest_eps;
-    const double credit = cpu_share_credit_percent(loaded);
-    min_overhead = std::min(min_overhead, overhead);
-    if (overhead - credit < min_excess) {
-      min_excess = overhead - credit;
-      credit_at_min = credit;
-    }
-    p99_service_ms = std::max(p99_service_ms, loaded.p99_service_ms);
-    p99_wall_ms = std::max(p99_wall_ms, loaded.p99_wall_ms);
-    queries += loaded.queries;
-    generations = std::max(generations, loaded.generations);
-  }
+  paired_interleaved(
+      g_pairs, [&] { return run_block(streams, 0); },
+      [&] { return run_block(streams, kReaders); },
+      [&](const BlockResult& base, const BlockResult& loaded) {
+        base_best = std::max(base_best, base.ingest_eps);
+        loaded_best = std::max(loaded_best, loaded.ingest_eps);
+        const double overhead =
+            100.0 * (base.ingest_eps - loaded.ingest_eps) / base.ingest_eps;
+        const double credit = cpu_share_credit_percent(loaded);
+        min_overhead = std::min(min_overhead, overhead);
+        if (overhead - credit < min_excess) {
+          min_excess = overhead - credit;
+          credit_at_min = credit;
+        }
+        p99_service_ms = std::max(p99_service_ms, loaded.p99_service_ms);
+        p99_wall_ms = std::max(p99_wall_ms, loaded.p99_wall_ms);
+        queries += loaded.queries;
+        generations = std::max(generations, loaded.generations);
+      });
 
   std::printf("\n  %-28s %14s\n", "block", "ingest eps");
   std::printf("  %-28s %14.0f\n", "0 readers (baseline)", base_best);

@@ -198,21 +198,21 @@ int main(int argc, char** argv) {
 
   double copy_best = 0.0, mmap_best = 0.0;
   double best_ratio = 0.0;
-  for (int rep = 0; rep < g_pairs; ++rep) {
-    double copy_mpps, mmap_mpps;
-    if (rep % 2 == 0) {
-      Nitro a = make_nitro(0), b = make_nitro(window);
-      copy_mpps = run_copy_block(raws, a);
-      mmap_mpps = run_mmap_block(pcap_path, b);
-    } else {
-      Nitro a = make_nitro(window), b = make_nitro(0);
-      mmap_mpps = run_mmap_block(pcap_path, a);
-      copy_mpps = run_copy_block(raws, b);
-    }
-    copy_best = std::max(copy_best, copy_mpps);
-    mmap_best = std::max(mmap_best, mmap_mpps);
-    best_ratio = std::max(best_ratio, mmap_mpps / copy_mpps);
-  }
+  paired_interleaved(
+      g_pairs,
+      [&] {
+        Nitro sketch = make_nitro(0);
+        return run_copy_block(raws, sketch);
+      },
+      [&] {
+        Nitro sketch = make_nitro(window);
+        return run_mmap_block(pcap_path, sketch);
+      },
+      [&](double copy_mpps, double mmap_mpps) {
+        copy_best = std::max(copy_best, copy_mpps);
+        mmap_best = std::max(mmap_best, mmap_mpps);
+        best_ratio = std::max(best_ratio, mmap_mpps / copy_mpps);
+      });
 
   std::printf("\n  %-36s %10s\n", "path", "Mpps");
   std::printf("  %-36s %10.2f\n", "per-packet copy (baseline)", copy_best);

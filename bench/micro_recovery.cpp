@@ -1,25 +1,29 @@
 // micro_recovery — checkpoint/restore latency for the fault-tolerance
-// layer (DESIGN.md §10).  Reported-only: numbers land in stdout + the JSON
-// sidecar for EXPERIMENTS.md; no ctest gate, since the cost is dominated
-// by fsync behaviour of the host filesystem.
+// layer (DESIGN.md §10, §15).  Reported-only: numbers land in stdout + the
+// JSON sidecar for EXPERIMENTS.md; no ctest gate, since the cost is
+// dominated by fsync behaviour of the host filesystem.
 //
-// Measures, for the measurement daemon (UnivMon state) and a 4-shard
-// Count-Min data plane:
-//   * serialize: building the checkpoint payload (drain + flush + encode)
-//   * save:      CRC frame + tmp write + fsync + rename dance
-//   * load:      read + frame validation (CRC over the whole payload)
-//   * restore:   decoding into an identically configured replica
+// Every row drives the path nitro_monitor ships: the daemon's payload in a
+// chain frame.  Measures, for the inline daemon (UnivMon state) and the
+// sharded monitor's epoch boundary (4 NitroUnivMon workers merged into the
+// daemon):
+//   * merge:     drain + merge_into the daemon's data plane (sharded only)
+//   * serialize: building the checkpoint payload
+//   * save:      CRC frame + tmp write + fsync + rename (save_frame)
+//   * load:      chain scan + read + frame validation (load_chain)
+//   * restore:   decoding into an identically configured daemon
 #include "bench_common.hpp"
 
 #include <cstdint>
 #include <filesystem>
+#include <string>
 #include <vector>
 
 #include "common/timing.hpp"
 #include "control/checkpoint.hpp"
 #include "control/daemon.hpp"
-#include "support/nitro_shards.hpp"
-#include "sketch/count_min.hpp"
+#include "core/nitro_univmon.hpp"
+#include "shard/shard_group.hpp"
 
 namespace nitro::bench {
 namespace {
@@ -27,6 +31,43 @@ namespace {
 constexpr int kReps = 5;
 
 double avg_ms(double total_s) { return total_s / kReps * 1e3; }
+
+/// Times kReps serializations, chain saves, chain loads and restores of
+/// `daemon`'s full frame; prints the row and sets the `recovery_<id>_*`
+/// gauges.  `extra` is printed after the row label (the sharded merge).
+void chain_row(control::MeasurementDaemon& daemon, control::MeasurementDaemon& replica,
+               control::CheckpointStore& store, telemetry::Registry& registry,
+               const std::string& id, const char* label, const std::string& extra) {
+  WallTimer t;
+  std::vector<std::uint8_t> payload;
+  for (int i = 0; i < kReps; ++i) payload = daemon.checkpoint_bytes();
+  const double ser_s = t.seconds();
+
+  const std::string name = "bench_" + id;
+  t.reset();
+  for (int i = 0; i < kReps; ++i) store.save_frame(name, /*full=*/true, payload);
+  const double save_s = t.seconds();
+
+  t.reset();
+  control::CheckpointStore::ChainRestored got;
+  for (int i = 0; i < kReps; ++i) got = store.load_chain(name);
+  const double load_s = t.seconds();
+
+  t.reset();
+  for (int i = 0; i < kReps; ++i) replica.restore_checkpoint(got.base);
+  const double restore_s = t.seconds();
+
+  std::printf("  %-15s payload %8.2f KiB %s serialize %7.3f ms  "
+              "save %7.3f ms  load %7.3f ms  restore %7.3f ms\n",
+              label, payload.size() / 1024.0, extra.c_str(), avg_ms(ser_s),
+              avg_ms(save_s), avg_ms(load_s), avg_ms(restore_s));
+  registry.gauge("recovery_" + id + "_payload_bytes", id + " checkpoint size")
+      .set(static_cast<double>(payload.size()));
+  registry.gauge("recovery_" + id + "_save_ms", "avg " + id + " checkpoint save latency")
+      .set(avg_ms(save_s));
+  registry.gauge("recovery_" + id + "_restore_ms", "avg " + id + " restore latency")
+      .set(avg_ms(restore_s));
+}
 
 void run() {
   banner("micro_recovery", "checkpoint/restore latency (reported-only)");
@@ -42,86 +83,40 @@ void run() {
   spec.seed = 23;
   const auto stream = trace::caida_like(spec);
 
+  // The daemon and sharded rows share one geometry and sampler.
+  const auto row_um = univmon_sized(/*top_width=*/2048, /*heap=*/256);
+  core::NitroConfig row_nitro;
+  row_nitro.mode = core::Mode::kFixedRate;
+  row_nitro.probability = 0.1;
+
   // --- Measurement daemon (UnivMon) --------------------------------------
   {
-    const auto um_cfg = univmon_sized(/*top_width=*/2048, /*heap=*/256);
-    core::NitroConfig nitro_cfg;
-    nitro_cfg.mode = core::Mode::kFixedRate;
-    nitro_cfg.probability = 0.1;
-    control::MeasurementDaemon daemon(um_cfg, nitro_cfg, {});
+    control::MeasurementDaemon daemon(row_um, row_nitro, {});
     for (const auto& p : stream) daemon.on_packet(p.key, p.ts_ns);
-
-    WallTimer t;
-    std::vector<std::uint8_t> payload;
-    for (int i = 0; i < kReps; ++i) payload = daemon.checkpoint_bytes();
-    const double ser_s = t.seconds();
-
-    t.reset();
-    for (int i = 0; i < kReps; ++i) store.save("bench_daemon", payload);
-    const double save_s = t.seconds();
-
-    t.reset();
-    control::CheckpointStore::Restored got;
-    for (int i = 0; i < kReps; ++i) got = store.load("bench_daemon");
-    const double load_s = t.seconds();
-
-    control::MeasurementDaemon replica(um_cfg, nitro_cfg, {});
-    t.reset();
-    for (int i = 0; i < kReps; ++i) replica.restore_checkpoint(got.payload);
-    const double restore_s = t.seconds();
-
-    std::printf("  daemon/univmon  payload %8.2f KiB  serialize %7.3f ms  "
-                "save %7.3f ms  load %7.3f ms  restore %7.3f ms\n",
-                payload.size() / 1024.0, avg_ms(ser_s), avg_ms(save_s),
-                avg_ms(load_s), avg_ms(restore_s));
-    registry.gauge("recovery_daemon_payload_bytes", "daemon checkpoint size")
-        .set(static_cast<double>(payload.size()));
-    registry.gauge("recovery_daemon_save_ms", "avg daemon checkpoint save latency")
-        .set(avg_ms(save_s));
-    registry.gauge("recovery_daemon_restore_ms", "avg daemon restore latency")
-        .set(avg_ms(restore_s));
+    control::MeasurementDaemon replica(row_um, row_nitro, {});
+    chain_row(daemon, replica, store, registry, "daemon", "daemon/univmon", "");
   }
 
-  // --- Sharded data plane (4x Count-Min) ----------------------------------
+  // --- Sharded monitor (4x NitroUnivMon merged into the daemon) -----------
   {
-    core::NitroConfig cfg;
-    cfg.mode = core::Mode::kVanilla;
-    cfg.track_top_keys = true;
-    cfg.top_keys = 256;
-    auto make = [] { return sketch::CountMinSketch(5, 65536, 19); };
-    auto sharded = testing::nitro_shards(4, make, cfg);
-    for (const auto& p : stream) sharded.update(p.key, 1, p.ts_ns);
-    sharded.drain();
+    control::MeasurementDaemon daemon(row_um, row_nitro, {});
+    shard::ShardGroup<core::NitroUnivMon> group(4, [&](std::uint32_t i) {
+      core::NitroConfig shard_cfg = row_nitro;
+      shard_cfg.seed = shard::shard_sampler_seed(row_nitro.seed, i);
+      return core::NitroUnivMon(row_um, shard_cfg, daemon.seed_schedule().seed_for(0));
+    });
+    for (const auto& p : stream) group.update(p.key, 1, p.ts_ns);
 
     WallTimer t;
-    std::vector<std::uint8_t> payload;
-    for (int i = 0; i < kReps; ++i) payload = control::checkpoint_sharded(sharded);
-    const double ser_s = t.seconds();
+    group.drain();
+    group.merge_into(daemon.data_plane_mut());
+    const double merge_ms = t.seconds() * 1e3;
+    group.stop();
 
-    t.reset();
-    for (int i = 0; i < kReps; ++i) store.save("bench_sharded", payload);
-    const double save_s = t.seconds();
-
-    t.reset();
-    control::CheckpointStore::Restored got;
-    for (int i = 0; i < kReps; ++i) got = store.load("bench_sharded");
-    const double load_s = t.seconds();
-
-    auto replica = testing::nitro_shards(4, make, cfg);
-    t.reset();
-    for (int i = 0; i < kReps; ++i) control::restore_sharded(got.payload, replica);
-    const double restore_s = t.seconds();
-
-    std::printf("  sharded/cm x4   payload %8.2f KiB  serialize %7.3f ms  "
-                "save %7.3f ms  load %7.3f ms  restore %7.3f ms\n",
-                payload.size() / 1024.0, avg_ms(ser_s), avg_ms(save_s),
-                avg_ms(load_s), avg_ms(restore_s));
-    registry.gauge("recovery_sharded_payload_bytes", "sharded checkpoint size")
-        .set(static_cast<double>(payload.size()));
-    registry.gauge("recovery_sharded_save_ms", "avg sharded checkpoint save latency")
-        .set(avg_ms(save_s));
-    registry.gauge("recovery_sharded_restore_ms", "avg sharded restore latency")
-        .set(avg_ms(restore_s));
+    char extra[32];
+    std::snprintf(extra, sizeof extra, " merge %7.3f ms ", merge_ms);
+    control::MeasurementDaemon replica(row_um, row_nitro, {});
+    chain_row(daemon, replica, store, registry, "sharded", "sharded/um x4", extra);
   }
 
   // --- Delta vs full checkpoint frames (DESIGN.md §15) --------------------
@@ -212,10 +207,10 @@ void run() {
         .set(scales ? 1.0 : 0.0);
   }
 
-  note("save includes fsync(tmp) + rename rotation + dir fsync (durability "
-       "recipe of DESIGN.md §10); load includes CRC validation of the frame; "
-       "delta frames encode the non-zero cells of dirty counter segments "
-       "(DESIGN.md §15)");
+  note("save includes fsync(tmp) + rename + dir fsync (durability recipe of "
+       "DESIGN.md §10); load includes the chain scan and CRC validation of the "
+       "frame; merge includes draining the workers' rings; delta frames "
+       "encode the non-zero cells of dirty counter segments (DESIGN.md §15)");
   write_telemetry_sidecar(registry, "micro_recovery");
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);  // bench artifacts, not checkpoints

@@ -116,20 +116,16 @@ int run_span_gate(const trace::Trace& stream) {
   double no_site = 0.0;
   double disabled = 0.0;
   double disabled_overhead = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < pairs; ++rep) {
-    double base, site;  // site = span present, no tracer installed
-    if (rep % 2 == 0) {
-      base = burst_replay_mpps<false>(stream);
-      site = burst_replay_mpps<true>(stream);
-    } else {
-      site = burst_replay_mpps<true>(stream);
-      base = burst_replay_mpps<false>(stream);
-    }
-    no_site = std::max(no_site, base);
-    disabled = std::max(disabled, site);
-    disabled_overhead =
-        std::min(disabled_overhead, 100.0 * (base - site) / base);
-  }
+  // site = span present, no tracer installed
+  paired_interleaved(
+      pairs, [&] { return burst_replay_mpps<false>(stream); },
+      [&] { return burst_replay_mpps<true>(stream); },
+      [&](double base, double site) {
+        no_site = std::max(no_site, base);
+        disabled = std::max(disabled, site);
+        disabled_overhead =
+            std::min(disabled_overhead, 100.0 * (base - site) / base);
+      });
 
   telemetry::Tracer tracer(1 << 12);
   telemetry::install_tracer(&tracer);

@@ -65,7 +65,6 @@ int main() {
   }
 
   // Epoch boundary: pull snapshots over the (simulated) control channel.
-  control::UnivMonCollector collector(um_cfg, kSharedSeed);
   sketch::UnivMon network_view(um_cfg, kSharedSeed);
   std::size_t wire_bytes = 0;
   for (int s = 0; s < kSwitches; ++s) {

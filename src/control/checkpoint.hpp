@@ -1,19 +1,23 @@
-// Crash-safe checkpoint/restore for sketch state (DESIGN.md §10).
+// Crash-safe checkpoint/restore for the daemon's state (DESIGN.md §10, §15).
 //
 // A daemon crash must not lose the measurement epoch: at every epoch
-// boundary the control plane persists its sketch state through this store
-// and restores it on restart.  Durability recipe per save:
+// boundary the monitor persists one payload, the daemon's
+// (MeasurementDaemon::checkpoint_bytes / delta_checkpoint_bytes), as a
+// numbered chain frame (save_frame), and restores the longest valid chain
+// on restart (load_chain).  The sharded monitor merges its shards into the
+// daemon first, so the same payload covers it.  Durability recipe per
+// frame:
 //
 //   1. the payload is sealed in a versioned CRC-32 frame (codec.hpp);
-//   2. the frame is written to `<name>.tmp` and fsync'd;
-//   3. the previous `<name>.ckpt` (if any) is renamed to `<name>.prev`;
-//   4. `<name>.tmp` is atomically renamed to `<name>.ckpt`.
+//   2. the frame is written to a tmp file and fsync'd;
+//   3. the tmp file is atomically renamed into place.
 //
-// load() validates `<name>.ckpt` and, when it is missing, truncated or
-// fails the CRC (a torn write), falls back to `<name>.prev` — corruption
-// is always *detected and reported*, never silently loaded.  The fault
-// framework can inject torn writes (persist only a prefix of the frame)
-// and read-side bit rot to exercise exactly these paths.
+// Corruption is always *detected and reported*, never silently loaded.
+// The fault framework can inject torn writes (persist only a prefix of the
+// frame) and read-side bit rot to exercise exactly these paths.
+//
+// save()/load() keep the older two-generation `<name>.ckpt`/`<name>.prev`
+// store, which only the e2ebench traced driver still reads.
 #pragma once
 
 #include <cstdint>
@@ -138,106 +142,5 @@ class CheckpointStore {
   telemetry::Counter* chain_gc_deleted_ = nullptr;
   telemetry::Gauge* last_bytes_ = nullptr;
 };
-
-// --- Checkpoint payload builders --------------------------------------------
-//
-// These serialize *measurement state* (counters, heaps, stream totals,
-// ingestion counts); samplers and convergence detectors are data-plane
-// state that a restarted process re-derives.  The replica passed to each
-// restore_* must be built with the same configs and seeds — the codec's
-// shape checks reject anything else.
-
-inline constexpr std::uint32_t kNitroCkptMagic = 0x4e4e434bu;    // "NNCK"
-inline constexpr std::uint32_t kShardedCkptMagic = 0x4e53434bu;  // "NSCK"
-inline constexpr std::uint32_t kCkptVersion = 1;
-
-/// Checkpoint one NitroSketch<Base>: ingestion counters + base-sketch
-/// counters + heavy-key heap.  Flushes pending buffered updates first so
-/// the payload reflects every processed packet.
-template <typename Nitro>
-std::vector<std::uint8_t> checkpoint_nitro(Nitro& sketch) {
-  sketch.flush();
-  ByteWriter w;
-  w.put_u32(kNitroCkptMagic);
-  w.put_u32(kCkptVersion);
-  w.put_u64(sketch.packets());
-  w.put_u64(sketch.sampled_updates());
-  w.put_blob(snapshot_sketch(sketch.base()));
-  write_heap(w, sketch.heap());
-  return std::move(w).take();
-}
-
-/// Restore a checkpoint_nitro payload into an identically configured
-/// replica.  Throws std::invalid_argument on malformed input; the replica
-/// is only mutated after the payload parses.
-template <typename Nitro>
-void restore_nitro(std::span<const std::uint8_t> payload, Nitro& replica) {
-  ByteReader r(payload);
-  if (r.get_u32() != kNitroCkptMagic) {
-    throw std::invalid_argument("nitro checkpoint: bad magic");
-  }
-  if (r.get_u32() != kCkptVersion) {
-    throw std::invalid_argument("nitro checkpoint: unsupported version");
-  }
-  const std::uint64_t packets = r.get_u64();
-  const std::uint64_t sampled = r.get_u64();
-  const auto base_snap = r.get_blob();
-  load_sketch(base_snap, replica.base());
-  read_heap_into(r, replica.heap_mut());
-  if (!r.exhausted()) {
-    throw std::invalid_argument("nitro checkpoint: trailing bytes");
-  }
-  replica.set_ingest_counts(packets, sampled);
-}
-
-/// Checkpoint a ShardGroup<NitroSketch<Base>>: one checkpoint_nitro payload
-/// per shard instance plus its quarantine flag (a quarantined shard's frozen
-/// pre-fault counters are still valid measurement state).  Call only at an
-/// epoch boundary, before merge_into() clears the instances: drains first.
-template <typename Sharded>
-std::vector<std::uint8_t> checkpoint_sharded(Sharded& sharded) {
-  sharded.drain();
-  ByteWriter w;
-  w.put_u32(kShardedCkptMagic);
-  w.put_u32(kCkptVersion);
-  w.put_u32(sharded.workers());
-  for (std::uint32_t i = 0; i < sharded.workers(); ++i) {
-    w.put_u8(sharded.quarantined(i) ? 1 : 0);
-    w.put_blob(checkpoint_nitro(sharded.instance(i)));
-  }
-  return std::move(w).take();
-}
-
-/// Restore into a quiescent, identically configured sharded replica (same
-/// worker count, base factory and seeds).  Quarantine is not re-imposed:
-/// the restored process has fresh, healthy workers — the flag travels in
-/// the payload purely so operators can see what the checkpoint lived
-/// through.  Returns the number of shards that were quarantined at save
-/// time.
-template <typename Sharded>
-std::uint32_t restore_sharded(std::span<const std::uint8_t> payload,
-                              Sharded& replica) {
-  ByteReader r(payload);
-  if (r.get_u32() != kShardedCkptMagic) {
-    throw std::invalid_argument("sharded checkpoint: bad magic");
-  }
-  if (r.get_u32() != kCkptVersion) {
-    throw std::invalid_argument("sharded checkpoint: unsupported version");
-  }
-  const std::uint32_t workers = r.get_u32();
-  if (workers != replica.workers()) {
-    throw std::invalid_argument("sharded checkpoint: worker count mismatch");
-  }
-  std::uint32_t was_quarantined = 0;
-  for (std::uint32_t i = 0; i < workers; ++i) {
-    was_quarantined += r.get_u8() != 0 ? 1u : 0u;
-    const auto shard_payload = r.get_blob();
-    restore_nitro(shard_payload, replica.instance(i));
-  }
-  if (!r.exhausted()) {
-    throw std::invalid_argument("sharded checkpoint: trailing bytes");
-  }
-  return was_quarantined;
-}
 
 }  // namespace nitro::control

@@ -4,10 +4,10 @@
 //
 // Snapshots carry counters, heavy-key entries, and stream totals — not the
 // hash functions.  The control plane therefore keeps an identically
-// seeded *replica* sketch (see Collector) and loads the snapshot into it;
-// this mirrors how the real system shares seeds between vswitchd and the
-// monitoring controller.  All integers little-endian, bounds-checked on
-// read.
+// seeded *replica* sketch (see xport::CollectorCore) and loads the
+// snapshot into it; this mirrors how the real system shares seeds between
+// vswitchd and the monitoring controller.  All integers little-endian,
+// bounds-checked on read.
 //
 // Every snapshot is wrapped in a versioned frame with a CRC-32 over the
 // payload (seal_frame / open_frame below), so a truncated, bit-flipped or
@@ -245,60 +245,5 @@ std::vector<std::uint8_t> snapshot_univmon_delta(const sketch::UnivMon& um);
 /// segments are overwritten, heaps replaced, total overwritten.
 void apply_univmon_delta(std::span<const std::uint8_t> bytes,
                          sketch::UnivMon& replica);
-
-// --- Single-sketch snapshots -------------------------------------------------
-
-/// Snapshot of any CounterMatrix-backed sketch (Count-Min, Count Sketch,
-/// K-ary, or a Nitro wrapper's base): counters + the stream total where
-/// the sketch tracks one.
-template <typename Sketch>
-std::vector<std::uint8_t> snapshot_sketch(const Sketch& s) {
-  ByteWriter w;
-  w.put_u32(0x4e534b31u);  // "NSK1"
-  if constexpr (requires { s.total(); }) {
-    w.put_i64(s.total());
-  } else {
-    w.put_i64(0);
-  }
-  write_matrix(w, s.matrix());
-  return seal_frame(w.bytes());
-}
-
-/// Loads a single-sketch snapshot into an identically configured replica.
-template <typename Sketch>
-void load_sketch(std::span<const std::uint8_t> bytes, Sketch& replica) {
-  ByteReader r(open_frame(bytes));
-  if (r.get_u32() != 0x4e534b31u) {
-    throw std::invalid_argument("snapshot: bad sketch magic");
-  }
-  const std::int64_t total = r.get_i64();
-  read_matrix_into(r, replica.matrix());
-  if constexpr (requires { replica.clear(); replica.add_total(total); }) {
-    // K-ary style: restore the exact stream length used by its estimator.
-    replica.add_total(total - replica.total());
-  }
-  if (!r.exhausted()) throw std::invalid_argument("snapshot: trailing bytes");
-}
-
-/// Control-plane endpoint: owns the replica and answers queries from the
-/// last ingested snapshot.
-class UnivMonCollector {
- public:
-  UnivMonCollector(const sketch::UnivMonConfig& cfg, std::uint64_t dataplane_seed)
-      : replica_(cfg, dataplane_seed) {}
-
-  void ingest(std::span<const std::uint8_t> snapshot) {
-    replica_.clear();
-    load_univmon(snapshot, replica_);
-    ++epochs_;
-  }
-
-  const sketch::UnivMon& view() const noexcept { return replica_; }
-  std::uint64_t epochs_ingested() const noexcept { return epochs_; }
-
- private:
-  sketch::UnivMon replica_;
-  std::uint64_t epochs_ = 0;
-};
 
 }  // namespace nitro::control

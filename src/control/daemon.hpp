@@ -11,6 +11,7 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -333,29 +334,18 @@ class MeasurementDaemon {
     if (r.get_u32() != kCheckpointMagic) {
       throw std::invalid_argument("daemon checkpoint: bad magic");
     }
-    const std::uint32_t version = r.get_u32();
-    if (version == 0 || version > kCheckpointVersion) {
-      throw std::invalid_argument("daemon checkpoint: unsupported version");
-    }
+    check_version("daemon checkpoint", r.get_u32());
     const std::uint64_t epoch = r.get_u64();
     const std::uint64_t cum_packets = r.get_u64();
     const std::uint64_t cum_sampled = r.get_u64();
-    // v1 payloads predate seed rotation (implicitly generation 0); a
-    // rotation-enabled daemon cannot restore one — its counters were
-    // written under the un-keyed base seed.
-    const std::uint64_t gen = version >= 2 ? r.get_u64() : 0;
-    if (version < 2 && sched_.enabled()) {
-      throw std::invalid_argument(
-          "daemon checkpoint: v1 payload predates seed rotation");
-    }
+    const std::uint64_t gen = r.get_u64();
     if (gen != sched_.generation_of(epoch)) {
       throw std::invalid_argument(
           "daemon checkpoint: seed generation does not match this daemon's "
           "rotation schedule");
     }
-    const bool has_counts = version >= 2;
-    const std::uint64_t ingest_packets = has_counts ? r.get_u64() : 0;
-    const std::uint64_t ingest_sampled = has_counts ? r.get_u64() : 0;
+    const std::uint64_t ingest_packets = r.get_u64();
+    const std::uint64_t ingest_sampled = r.get_u64();
     const auto current_snap = r.get_blob();
 
     core::NitroUnivMon restored(um_cfg_, nitro_cfg_, sched_.seed_for_epoch(epoch));
@@ -378,13 +368,7 @@ class MeasurementDaemon {
     cum_packets_ = cum_packets;
     cum_sampled_ = cum_sampled;
     current_ = std::move(restored);
-    if (has_counts) {
-      current_.set_ingest_counts(ingest_packets, ingest_sampled);
-    } else {
-      // v1 never carried the counters; total() is exact for unsampled
-      // (vanilla) state, the best available approximation otherwise.
-      current_.set_ingest_counts(static_cast<std::uint64_t>(current_.total()), 0);
-    }
+    current_.set_ingest_counts(ingest_packets, ingest_sampled);
     previous_ = std::move(prev);
     // A restored sketch's relation to any delta base is unknown; the next
     // checkpoint frame must be a full one.
@@ -460,20 +444,12 @@ class MeasurementDaemon {
     if (r.get_u32() != kDeltaCkptMagic) {
       throw std::invalid_argument("daemon delta checkpoint: bad magic");
     }
-    const std::uint32_t version = r.get_u32();
-    if (version == 0 || version > kCheckpointVersion) {
-      throw std::invalid_argument("daemon delta checkpoint: unsupported version");
-    }
-    if (version < 2 && sched_.enabled()) {
-      throw std::invalid_argument(
-          "daemon delta checkpoint: v1 payload predates seed rotation");
-    }
+    check_version("daemon delta checkpoint", r.get_u32());
     const std::uint64_t epoch = r.get_u64();
     const std::uint64_t cum_packets = r.get_u64();
     const std::uint64_t cum_sampled = r.get_u64();
-    const bool has_counts = version >= 2;
-    const std::uint64_t ingest_packets = has_counts ? r.get_u64() : 0;
-    const std::uint64_t ingest_sampled = has_counts ? r.get_u64() : 0;
+    const std::uint64_t ingest_packets = r.get_u64();
+    const std::uint64_t ingest_sampled = r.get_u64();
     const bool rotated = r.get_u8() != 0;
     decltype(r.get_blob()) closing{};
     if (rotated) closing = r.get_blob();
@@ -509,11 +485,7 @@ class MeasurementDaemon {
     epoch_ = epoch;
     cum_packets_ = cum_packets;
     cum_sampled_ = cum_sampled;
-    if (has_counts) {
-      current_.set_ingest_counts(ingest_packets, ingest_sampled);
-    } else {
-      current_.set_ingest_counts(static_cast<std::uint64_t>(current_.total()), 0);
-    }
+    current_.set_ingest_counts(ingest_packets, ingest_sampled);
     delta_ok_ = false;
     rotations_since_cut_ = 0;
     pre_rotation_delta_.clear();
@@ -569,9 +541,17 @@ class MeasurementDaemon {
  private:
   static constexpr std::uint32_t kCheckpointMagic = 0x4e44434bu;  // "NDCK"
   static constexpr std::uint32_t kDeltaCkptMagic = 0x4e44444cu;   // "NDDL"
-  /// v2 adds the seed generation (keyed rotation, DESIGN.md §16); v1
-  /// payloads are still accepted by rotation-disabled daemons.
+  /// v2 added the seed generation (keyed rotation, DESIGN.md §16) and the
+  /// live ingest counters.  v1 payloads travelled only in v1 frames, which
+  /// open_frame rejects, so every other version is rejected by number.
   static constexpr std::uint32_t kCheckpointVersion = 2;
+
+  static void check_version(const char* what, std::uint32_t version) {
+    if (version != kCheckpointVersion) {
+      throw std::invalid_argument(std::string(what) + ": unsupported version " +
+                                  std::to_string(version));
+    }
+  }
 
   /// Clock-skew fault point: timestamps entering the daemon can be shifted
   /// by a scheduled signed offset, exercising the AlwaysLineRate rate

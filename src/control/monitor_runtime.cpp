@@ -10,6 +10,14 @@
 
 namespace nitro::control {
 
+namespace {
+
+/// Checkpoint cadence: a full chain frame every this many frames, deltas
+/// between.  Bounds restore to one base plus at most three deltas.
+constexpr std::uint64_t kCheckpointFullEvery = 4;
+
+}  // namespace
+
 MonitorRuntime::MonitorRuntime(MonitorConfig cfg)
     : cfg_(std::move(cfg)),
       daemon_(cfg_.univmon, cfg_.nitro, cfg_.tasks, cfg_.seed) {
@@ -207,11 +215,11 @@ EpochReport MonitorRuntime::close_epoch() {
   if (store_) {
     // Persist before closing the epoch: a crash inside end_epoch then
     // costs at most the current epoch, never an already-reported one.
-    // A full base every checkpoint_full_every frames (or whenever the
+    // A full base every kCheckpointFullEvery frames (or whenever the
     // dirty state cannot be expressed as a delta); run-length deltas of
     // the touched segments between.
     const bool want_full =
-        !daemon_.delta_ready() || frames_since_full_ >= cfg_.checkpoint_full_every;
+        !daemon_.delta_ready() || frames_since_full_ >= kCheckpointFullEvery;
     const auto saved = store_->save_frame(
         "daemon", want_full,
         want_full ? daemon_.checkpoint_bytes() : daemon_.delta_checkpoint_bytes());

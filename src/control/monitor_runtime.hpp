@@ -51,7 +51,6 @@ struct MonitorConfig {
   shard::ValveOptions valve;                  // --valve, --valve-threshold
   std::size_t accuracy_sample = 0;            // --accuracy-sample (0 = off)
   std::string checkpoint_dir;                 // --checkpoint-dir (empty = off)
-  std::uint64_t checkpoint_full_every = 4;    // --checkpoint-full-every
   bool recover_from_collector = false;        // --recover-from-collector
   std::optional<xport::ExporterConfig> exporter;  // --export-to, --source-id
   std::uint64_t master_key = 0;               // --master-key
@@ -86,10 +85,10 @@ class MonitorRuntime {
   switchsim::Measurement& hook() noexcept { return *hook_; }
 
   /// Drain the hook, merge the live shards (quarantined ones are skipped),
-  /// persist a checkpoint frame (a full base every checkpoint_full_every
-  /// frames), then end_epoch, which exports; its accuracy verdict sees the
-  /// shards' worst degrade level.  DaemonCrash from an injected fault
-  /// propagates after the frame is on disk.
+  /// persist a checkpoint frame (a full base every 4th frame), then
+  /// end_epoch, which exports; its accuracy verdict sees the shards' worst
+  /// degrade level.  DaemonCrash from an injected fault propagates after
+  /// the frame is on disk.
   EpochReport close_epoch();
 
   /// Flush the exporter for up to `flush_ms`, then stop it and the shard

@@ -170,53 +170,8 @@ class ShardGroup {
   /// shard_of(key) for merged results to equal a single-instance run.
   void update_on_shard(std::uint32_t shard, const FlowKey& key,
                        std::int64_t count = 1, std::uint64_t ts_ns = 0) {
-    Shard& s = *shards_[shard];
-    s.packets.inc();
-    if (halted(s)) {
-      s.drops.inc();
-      return;
-    }
-    if (s.valve.enabled() && s.valve.on_packet(flow_digest(key))) {
-      valve_trip(s);
-    }
-    if (s.ring.try_push({key, count, ts_ns})) {
-      s.pushed.inc();
-      return;
-    }
-    switch (opts_.overflow) {
-      case OverflowPolicy::kDrop:
-        s.drops.inc();
-        return;
-      case OverflowPolicy::kDegrade: {
-        escalate_degradation(s);
-        BoundedBackoff backoff;
-        for (std::uint32_t attempt = 0; attempt < kDegradeRetries; ++attempt) {
-          if (halted(s)) break;
-          if (s.ring.try_push({key, count, ts_ns})) {
-            s.pushed.inc();
-            return;
-          }
-          backoff.wait();
-        }
-        s.drops.inc();
-        return;
-      }
-      case OverflowPolicy::kBlock: {
-        // Bounded-liveness blocking: never spin on a dead or quarantined
-        // worker — the push that will never drain becomes a counted drop
-        // instead of a wedged forwarding thread.
-        BoundedBackoff backoff;
-        while (!s.ring.try_push({key, count, ts_ns})) {
-          if (halted(s)) {
-            s.drops.inc();
-            return;
-          }
-          backoff.wait();
-        }
-        s.pushed.inc();
-        return;
-      }
-    }
+    const ShardItem item{key, count, ts_ns};
+    push(*shards_[shard], &item, 1);
   }
 
   /// Burst dispatch (single-dispatcher): digest the burst with the
@@ -226,7 +181,6 @@ class ShardGroup {
   /// identical to calling update() per key.  The digest stays on the
   /// dispatcher: ring items keep their 32-byte shape and workers
   /// re-digest in their own burst path.
-  /// Accounting invariant (all policies): packets == pushed + drops.
   void update_burst(std::span<const FlowKey> keys, std::int64_t count = 1,
                     std::uint64_t ts_ns = 0) {
     for (auto& run : burst_runs_) run.clear();
@@ -239,64 +193,8 @@ class ShardGroup {
       }
     }
     for (std::size_t i = 0; i < shards_.size(); ++i) {
-      auto& run = burst_runs_[i];
-      if (run.empty()) continue;
-      Shard& s = *shards_[i];
-      s.packets.inc(run.size());
-      if (halted(s)) {
-        s.drops.inc(run.size());
-        continue;
-      }
-      if (s.valve.enabled()) {
-        for (const ShardItem& item : run) {
-          if (s.valve.on_packet(flow_digest(item.key))) valve_trip(s);
-        }
-      }
-      std::size_t done = s.ring.try_push_bulk(run.data(), run.size());
-      if (done < run.size()) {
-        switch (opts_.overflow) {
-          case OverflowPolicy::kDrop:
-            s.drops.inc(run.size() - done);
-            break;
-          case OverflowPolicy::kDegrade: {
-            escalate_degradation(s);
-            BoundedBackoff backoff;
-            std::uint32_t attempts = 0;
-            while (done < run.size() && attempts < kDegradeRetries && !halted(s)) {
-              const std::size_t more =
-                  s.ring.try_push_bulk(run.data() + done, run.size() - done);
-              if (more == 0) {
-                backoff.wait();
-                ++attempts;
-              } else {
-                done += more;
-                backoff.reset();
-              }
-            }
-            if (done < run.size()) s.drops.inc(run.size() - done);
-            break;
-          }
-          case OverflowPolicy::kBlock: {
-            BoundedBackoff backoff;
-            while (done < run.size()) {
-              if (halted(s)) {
-                s.drops.inc(run.size() - done);
-                break;
-              }
-              const std::size_t more =
-                  s.ring.try_push_bulk(run.data() + done, run.size() - done);
-              if (more == 0) {
-                backoff.wait();
-              } else {
-                done += more;
-                backoff.reset();
-              }
-            }
-            break;
-          }
-        }
-      }
-      s.pushed.inc(done);
+      const auto& run = burst_runs_[i];
+      if (!run.empty()) push(*shards_[i], run.data(), run.size());
     }
   }
 
@@ -557,6 +455,64 @@ class ShardGroup {
     telemetry::Counter degrade_steps;
     telemetry::Counter valve_trips;         // admission-valve window trips
   };
+
+  /// The one enqueue routine: run `items` through the shard's valve, then
+  /// into its ring with one bulk reservation, applying the overflow policy
+  /// to whatever does not fit.  Accounting invariant (all policies):
+  /// packets == pushed + drops.
+  void push(Shard& s, const ShardItem* items, std::size_t n) {
+    s.packets.inc(n);
+    if (halted(s)) {
+      s.drops.inc(n);
+      return;
+    }
+    if (s.valve.enabled()) {
+      for (std::size_t k = 0; k < n; ++k) {
+        if (s.valve.on_packet(flow_digest(items[k].key))) valve_trip(s);
+      }
+    }
+    std::size_t done = s.ring.try_push_bulk(items, n);
+    if (done < n) {
+      switch (opts_.overflow) {
+        case OverflowPolicy::kDrop:
+          break;
+        case OverflowPolicy::kDegrade: {
+          escalate_degradation(s);
+          BoundedBackoff backoff;
+          std::uint32_t attempts = 0;
+          while (done < n && attempts < kDegradeRetries && !halted(s)) {
+            const std::size_t more = s.ring.try_push_bulk(items + done, n - done);
+            if (more == 0) {
+              backoff.wait();
+              ++attempts;
+            } else {
+              done += more;
+              backoff.reset();
+            }
+          }
+          break;
+        }
+        case OverflowPolicy::kBlock: {
+          // Bounded-liveness blocking: never spin on a dead or quarantined
+          // worker — a push that will never drain becomes a counted drop
+          // instead of a wedged forwarding thread.
+          BoundedBackoff backoff;
+          while (done < n && !halted(s)) {
+            const std::size_t more = s.ring.try_push_bulk(items + done, n - done);
+            if (more == 0) {
+              backoff.wait();
+            } else {
+              done += more;
+              backoff.reset();
+            }
+          }
+          break;
+        }
+      }
+      s.drops.inc(n - done);
+    }
+    s.pushed.inc(done);
+  }
 
   bool halted(const Shard& s) const noexcept {
     return s.dead.load(std::memory_order_acquire) ||

@@ -1,8 +1,5 @@
 #include "control/codec.hpp"
 
-#include "sketch/count_min.hpp"
-#include "sketch/kary.hpp"
-
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -139,56 +136,6 @@ TEST(UnivMonSnapshot, RejectsCorruptMagic) {
   EXPECT_THROW(load_univmon(bytes, replica), std::invalid_argument);
 }
 
-TEST(Collector, IngestsEpochsAndTracksCount) {
-  sketch::UnivMon dataplane(um_config(), 31);
-  UnivMonCollector collector(um_config(), 31);
-  for (int epoch = 0; epoch < 3; ++epoch) {
-    for (int i = 0; i < 10000; ++i) {
-      dataplane.update(flow_key_for_rank(i % 100, 5));
-    }
-    collector.ingest(snapshot_univmon(dataplane));
-    EXPECT_EQ(collector.view().total(), dataplane.total());
-    dataplane.clear();
-  }
-  EXPECT_EQ(collector.epochs_ingested(), 3u);
-}
-
-TEST(SketchSnapshot, CountMinRoundTrip) {
-  sketch::CountMinSketch src(5, 1024, 41), dst(5, 1024, 41);
-  for (int i = 0; i < 5000; ++i) src.update(flow_key_for_rank(i % 300, 6));
-  const auto bytes = snapshot_sketch(src);
-  load_sketch(bytes, dst);
-  for (int i = 0; i < 300; ++i) {
-    const FlowKey k = flow_key_for_rank(i, 6);
-    EXPECT_EQ(dst.query(k), src.query(k));
-  }
-}
-
-TEST(SketchSnapshot, KAryRestoresTotalForUnbiasedEstimator) {
-  sketch::KArySketch src(8, 2048, 43), dst(8, 2048, 43);
-  for (int i = 0; i < 10000; ++i) src.update(flow_key_for_rank(i % 100, 7));
-  const auto bytes = snapshot_sketch(src);
-  load_sketch(bytes, dst);
-  EXPECT_EQ(dst.total(), src.total());
-  for (int i = 0; i < 100; ++i) {
-    const FlowKey k = flow_key_for_rank(i, 7);
-    EXPECT_NEAR(dst.query(k), src.query(k), 1e-9);
-  }
-}
-
-TEST(SketchSnapshot, CountSketchL2Preserved) {
-  sketch::CountSketch src(5, 4096, 47), dst(5, 4096, 47);
-  for (int i = 0; i < 20000; ++i) src.update(flow_key_for_rank(i % 1000, 8));
-  load_sketch(snapshot_sketch(src), dst);
-  EXPECT_DOUBLE_EQ(dst.l2_squared_estimate(), src.l2_squared_estimate());
-}
-
-TEST(SketchSnapshot, RejectsWrongShape) {
-  sketch::CountMinSketch src(5, 1024, 41);
-  sketch::CountMinSketch wrong(5, 2048, 41);
-  EXPECT_THROW(load_sketch(snapshot_sketch(src), wrong), std::invalid_argument);
-}
-
 // --- Frame fuzzing ----------------------------------------------------------
 //
 // Every corruption mode of the CRC frame must be *rejected with a distinct
@@ -267,9 +214,9 @@ TEST(FrameFuzz, EverySingleBitFlipIsCaught) {
 TEST(FrameFuzz, SketchLoadSurvivesRandomGarbageWithoutCrashing) {
   // Random byte soup must always surface as invalid_argument /
   // out_of_range — never UB, never a half-loaded replica.
-  sketch::CountMinSketch pristine(5, 1024, 41);
+  sketch::UnivMon pristine(um_config(), 41);
   for (int i = 0; i < 100; ++i) pristine.update(flow_key_for_rank(i, 6));
-  const auto good = snapshot_sketch(pristine);
+  const auto good = snapshot_univmon(pristine);
 
   std::uint64_t state = 0x9e3779b97f4a7c15ULL;
   auto next = [&state] {
@@ -284,9 +231,9 @@ TEST(FrameFuzz, SketchLoadSurvivesRandomGarbageWithoutCrashing) {
     for (std::size_t f = 0; f < flips; ++f) {
       bytes[next() % bytes.size()] ^= static_cast<std::uint8_t>(1 + next() % 255);
     }
-    sketch::CountMinSketch replica(5, 1024, 41);
+    sketch::UnivMon replica(um_config(), 41);
     try {
-      load_sketch(bytes, replica);
+      load_univmon(bytes, replica);
       // Astronomically unlikely (CRC forgery); acceptable only if the
       // payload still parsed to the right shape.
     } catch (const std::invalid_argument&) {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "control/codec.hpp"
@@ -178,9 +179,11 @@ TEST(SeedRotation, MismatchedScheduleRejectsTheCheckpoint) {
   EXPECT_THROW(rotation_off.restore_checkpoint(payload), std::invalid_argument);
 }
 
-TEST(SeedRotation, LegacyV1CheckpointsRejectedOnlyWhenRotationIsOn) {
-  // Hand-build a v1 payload (pre-rotation layout: no generation field);
-  // magic/version match daemon.hpp's kCheckpointMagic / v1.
+TEST(SeedRotation, V1CheckpointsAreRejectedByNumberWithRotationOnAndOff) {
+  // A v1 payload (pre-rotation layout: no generation field, no ingest
+  // counters); magic matches daemon.hpp's kCheckpointMagic.  Builds that
+  // wrote v1 sealed it in a v1 frame, which open_frame rejects, so the
+  // payload decoder speaks only v2 — with or without rotation.
   sketch::UnivMon um(um_config(), kSeed);
   um.update(trace::flow_key_for_rank(1, 9), 5);
   ByteWriter w;
@@ -193,13 +196,34 @@ TEST(SeedRotation, LegacyV1CheckpointsRejectedOnlyWhenRotationIsOn) {
   w.put_u8(0);  // no previous sketch
   const auto v1 = std::move(w).take();
 
-  auto legacy = make_daemon();
-  legacy.restore_checkpoint(v1);  // rotation off: accepted as generation 0
-  EXPECT_EQ(legacy.data_plane().total(), 5);
+  // The delta payload's version field, rewound to 1.
+  auto source = make_daemon();
+  source.enable_delta_checkpoints();
+  source.cut_checkpoint_frame();
+  feed_epoch(source, 331);
+  auto v1_delta = source.delta_checkpoint_bytes();
+  v1_delta[4] = 1;
 
-  auto rotating = make_daemon();
-  rotating.enable_seed_rotation(kMasterKey, kRotationEpochs);
-  EXPECT_THROW(rotating.restore_checkpoint(v1), std::invalid_argument);
+  for (const bool rotating : {false, true}) {
+    auto d = make_daemon();
+    if (rotating) d.enable_seed_rotation(kMasterKey, kRotationEpochs);
+    const auto before = d.checkpoint_bytes();
+    const auto error = [](auto&& restore) {
+      try {
+        restore();
+      } catch (const std::invalid_argument& e) {
+        return std::string(e.what());
+      }
+      return std::string();
+    };
+    EXPECT_EQ(error([&] { d.restore_checkpoint(v1); }),
+              "daemon checkpoint: unsupported version 1")
+        << "rotation " << rotating;
+    EXPECT_EQ(error([&] { d.apply_delta_checkpoint(v1_delta); }),
+              "daemon delta checkpoint: unsupported version 1")
+        << "rotation " << rotating;
+    EXPECT_EQ(d.checkpoint_bytes(), before) << "rotation " << rotating;
+  }
 }
 
 // --- Delta frames across rotation -----------------------------------------

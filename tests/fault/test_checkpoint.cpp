@@ -1,7 +1,7 @@
 // Crash-safe checkpoint/restore: atomic save, CRC-gated load with
 // previous-generation fallback, torn-write and bit-rot injection, and
-// full round trips for every sketch family plus the daemon and the
-// sharded data plane.
+// round trips of the one payload the monitor writes — the daemon's chain
+// frame, inline and after a sharded merge — plus its truncation sweep.
 #include "control/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -10,21 +10,20 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "control/daemon.hpp"
-#include "core/nitro_sketch.hpp"
+#include "core/nitro_univmon.hpp"
 #include "fault/fault.hpp"
-#include "support/nitro_shards.hpp"
+#include "shard/shard_group.hpp"
 #include "support/temp_path.hpp"
-#include "trace/ground_truth.hpp"
 #include "trace/workloads.hpp"
 
 namespace nitro::control {
 namespace {
-
-using trace::flow_key_for_rank;
 
 std::string fresh_dir(const std::string& name) {
   return nitro::testing::fresh_temp_dir("nitro_ckpt_" + name);
@@ -54,15 +53,6 @@ std::vector<E> canonical(std::vector<E> v) {
     return std::memcmp(&a.key, &b.key, sizeof(FlowKey)) < 0;
   });
   return v;
-}
-
-core::NitroConfig fixed_cfg(double p = 0.2) {
-  core::NitroConfig cfg;
-  cfg.mode = core::Mode::kFixedRate;
-  cfg.probability = p;
-  cfg.track_top_keys = true;
-  cfg.top_keys = 64;
-  return cfg;
 }
 
 TEST(CheckpointStore, SaveLoadRoundTripIsBitIdentical) {
@@ -154,96 +144,85 @@ TEST(CheckpointStore, TelemetryCountsSavesAndRejections) {
   EXPECT_EQ(restores, 1u);
 }
 
-template <typename Base>
-void roundtrip_nitro(Base make_base(), std::uint64_t trace_seed) {
-  const auto stream = small_trace(60000, trace_seed);
-  core::NitroSketch<Base> source(make_base(), fixed_cfg());
-  for (const auto& p : stream) source.update(p.key, 1, p.ts_ns);
-
-  const auto payload = checkpoint_nitro(source);
-  core::NitroSketch<Base> replica(make_base(), fixed_cfg());
-  restore_nitro(payload, replica);
-
-  EXPECT_EQ(replica.packets(), source.packets());
-  EXPECT_EQ(replica.sampled_updates(), source.sampled_updates());
-  for (int rank = 0; rank < 2000; ++rank) {
-    const auto key = flow_key_for_rank(rank, 51);
-    EXPECT_EQ(replica.query(key), source.query(key)) << "rank " << rank;
-  }
-  const auto a = canonical(source.top_keys());
-  const auto b = canonical(replica.top_keys());
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].key, b[i].key);
-    EXPECT_EQ(a[i].estimate, b[i].estimate);
-  }
-}
-
-TEST(NitroCheckpoint, CountMinRoundTripIsBitIdentical) {
-  roundtrip_nitro<sketch::CountMinSketch>(
-      +[] { return sketch::CountMinSketch(5, 2048, 61); }, 13);
-}
-
-TEST(NitroCheckpoint, CountSketchRoundTripIsBitIdentical) {
-  roundtrip_nitro<sketch::CountSketch>(
-      +[] { return sketch::CountSketch(5, 2048, 62); }, 14);
-}
-
-TEST(NitroCheckpoint, KAryRoundTripRestoresStreamTotal) {
-  roundtrip_nitro<sketch::KArySketch>(
-      +[] { return sketch::KArySketch(5, 2048, 63); }, 15);
-}
-
-TEST(NitroCheckpoint, RejectsTruncatedPayloads) {
-  core::NitroSketch<sketch::CountMinSketch> source(
-      sketch::CountMinSketch(4, 512, 7), fixed_cfg());
-  source.update(flow_key_for_rank(1, 1));
-  auto payload = checkpoint_nitro(source);
-  core::NitroSketch<sketch::CountMinSketch> replica(
-      sketch::CountMinSketch(4, 512, 7), fixed_cfg());
-  payload.resize(payload.size() / 2);
-  EXPECT_THROW(restore_nitro(payload, replica), std::exception);
-}
-
-TEST(ShardedCheckpoint, RoundTripAcrossAWorkerGroup) {
-  const auto stream = small_trace(80000, 16);
-  core::NitroConfig cfg = fixed_cfg(1.0);
-  cfg.mode = core::Mode::kVanilla;
-  auto make = [] { return sketch::CountMinSketch(5, 2048, 71); };
-  auto source = testing::nitro_shards(3, make, cfg);
-  for (const auto& p : stream) source.update(p.key, 1, p.ts_ns);
-
-  const auto payload = checkpoint_sharded(source);
-  auto replica = testing::nitro_shards(3, make, cfg);
-  EXPECT_EQ(restore_sharded(payload, replica), 0u);
-
-  const auto src_view = testing::merged_view(source, make, cfg);
-  const auto dst_view = testing::merged_view(replica, make, cfg);
-  for (int rank = 0; rank < 2000; ++rank) {
-    const auto key = flow_key_for_rank(rank, 51);
-    EXPECT_EQ(dst_view.query(key), src_view.query(key)) << "rank " << rank;
-  }
-}
-
-TEST(ShardedCheckpoint, RejectsWorkerCountMismatch) {
-  core::NitroConfig cfg = fixed_cfg(1.0);
-  cfg.mode = core::Mode::kVanilla;
-  auto make = [] { return sketch::CountMinSketch(4, 512, 72); };
-  auto source = testing::nitro_shards(3, make, cfg);
-  auto wrong = testing::nitro_shards(2, make, cfg);
-  const auto payload = checkpoint_sharded(source);
-  EXPECT_THROW(restore_sharded(payload, wrong), std::invalid_argument);
-}
-
-TEST(DaemonCheckpoint, CrashAtEpochBoundaryRestoresIdenticalReports) {
+sketch::UnivMonConfig daemon_univmon() {
   sketch::UnivMonConfig um_cfg;
   um_cfg.levels = 8;
   um_cfg.depth = 5;
   um_cfg.top_width = 1024;
   um_cfg.min_width = 256;
   um_cfg.heap_capacity = 100;
+  return um_cfg;
+}
+
+core::NitroConfig vanilla_cfg() {
   core::NitroConfig cfg;
   cfg.mode = core::Mode::kVanilla;
+  return cfg;
+}
+
+void expect_same_flows(std::vector<HeavyHitter> got, std::vector<HeavyHitter> want) {
+  got = canonical(std::move(got));
+  want = canonical(std::move(want));
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].key, want[i].key);
+    EXPECT_EQ(got[i].estimate, want[i].estimate);
+  }
+}
+
+void expect_same_report(const EpochReport& got, const EpochReport& want) {
+  EXPECT_EQ(got.epoch, want.epoch);
+  EXPECT_EQ(got.packets, want.packets);
+  EXPECT_DOUBLE_EQ(got.entropy, want.entropy);
+  EXPECT_DOUBLE_EQ(got.distinct, want.distinct);
+  expect_same_flows(got.heavy_hitters, want.heavy_hitters);
+  expect_same_flows(got.changed_flows, want.changed_flows);
+}
+
+TEST(ShardedCheckpoint, RoundTripAcrossAWorkerGroup) {
+  // The sharded monitor's epoch boundary: drain the workers, merge them
+  // into the daemon's data plane, and persist the daemon's chain frame.
+  // There is no per-shard payload; the merged daemon is the state.
+  const auto um_cfg = daemon_univmon();
+  core::NitroConfig cfg;
+  cfg.mode = core::Mode::kFixedRate;
+  cfg.probability = 0.2;
+  constexpr std::uint64_t kSeed = 99;
+  shard::ShardGroup<core::NitroUnivMon> group(3, [&](std::uint32_t i) {
+    core::NitroConfig shard_cfg = cfg;
+    shard_cfg.seed = shard::shard_sampler_seed(cfg.seed, i);
+    return core::NitroUnivMon(um_cfg, shard_cfg, kSeed);
+  });
+  MeasurementDaemon source(um_cfg, cfg, {}, kSeed);
+  const auto merge_epoch = [&](const trace::Trace& stream, std::size_t from,
+                               std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) group.update(stream[i].key, 1, stream[i].ts_ns);
+    ASSERT_TRUE(group.drain());
+    group.merge_into(source.data_plane_mut());
+  };
+  const auto stream = small_trace(80000, 16);
+  // One closed epoch, so change detection has a previous sketch.
+  merge_epoch(stream, 0, stream.size() / 2);
+  (void)source.end_epoch();
+  merge_epoch(stream, stream.size() / 2, stream.size());
+
+  CheckpointStore store(fresh_dir("sharded"));
+  ASSERT_TRUE(store.save_frame("daemon", /*full=*/true, source.checkpoint_bytes()).ok);
+  const auto chain = store.load_chain("daemon");
+  ASSERT_TRUE(chain.found);
+  EXPECT_TRUE(chain.deltas.empty());
+
+  MeasurementDaemon restarted(um_cfg, cfg, {}, kSeed);
+  restarted.restore_checkpoint(chain.base);
+  EXPECT_EQ(restarted.epoch(), 1u);
+  const auto want = source.end_epoch();
+  EXPECT_EQ(want.packets, static_cast<std::int64_t>(stream.size() - stream.size() / 2));
+  expect_same_report(restarted.end_epoch(), want);
+}
+
+TEST(DaemonCheckpoint, CrashAtEpochBoundaryRestoresIdenticalReports) {
+  const auto um_cfg = daemon_univmon();
+  const auto cfg = vanilla_cfg();
 
   MeasurementDaemon daemon(um_cfg, cfg, {}, /*seed=*/99);
   const auto stream = small_trace(50000, 17);
@@ -255,7 +234,7 @@ TEST(DaemonCheckpoint, CrashAtEpochBoundaryRestoresIdenticalReports) {
   for (; i < stream.size(); ++i) daemon.on_packet(stream[i].key, stream[i].ts_ns);
 
   CheckpointStore store(fresh_dir("daemon_crash"));
-  ASSERT_TRUE(store.save("daemon", daemon.checkpoint_bytes()));
+  ASSERT_TRUE(store.save_frame("daemon", /*full=*/true, daemon.checkpoint_bytes()).ok);
 
   {
     fault::Schedule plan;
@@ -265,34 +244,85 @@ TEST(DaemonCheckpoint, CrashAtEpochBoundaryRestoresIdenticalReports) {
   }
 
   // "Restart": a fresh daemon with the same configs+seed restores the
-  // checkpoint and closes the epoch the crashed one could not — producing
+  // chain and closes the epoch the crashed one could not — producing
   // exactly the report the original would have.
   MeasurementDaemon restarted(um_cfg, cfg, {}, /*seed=*/99);
-  const auto restored = store.load("daemon");
-  ASSERT_EQ(restored.source, CheckpointStore::Source::kCurrent);
-  restarted.restore_checkpoint(restored.payload);
+  const auto chain = store.load_chain("daemon");
+  ASSERT_TRUE(chain.found);
+  ASSERT_TRUE(chain.deltas.empty());
+  restarted.restore_checkpoint(chain.base);
   EXPECT_EQ(restarted.epoch(), 1u);
 
   const auto want = daemon.end_epoch();  // fault uninstalled: original closes
-  const auto got = restarted.end_epoch();
-  EXPECT_EQ(got.epoch, want.epoch);
-  EXPECT_EQ(got.packets, want.packets);
-  EXPECT_DOUBLE_EQ(got.entropy, want.entropy);
-  EXPECT_DOUBLE_EQ(got.distinct, want.distinct);
-  const auto want_hh = canonical(want.heavy_hitters);
-  const auto got_hh = canonical(got.heavy_hitters);
-  ASSERT_EQ(got_hh.size(), want_hh.size());
-  for (std::size_t h = 0; h < got_hh.size(); ++h) {
-    EXPECT_EQ(got_hh[h].key, want_hh[h].key);
-    EXPECT_EQ(got_hh[h].estimate, want_hh[h].estimate);
+  expect_same_report(restarted.end_epoch(), want);
+}
+
+TEST(DaemonCheckpoint, EveryTruncationIsRejectedAndLeavesTheDaemonUntouched) {
+  // A sketch small enough to sweep every prefix of both payload kinds.
+  sketch::UnivMonConfig um_cfg;
+  um_cfg.levels = 4;
+  um_cfg.depth = 3;
+  um_cfg.top_width = 256;
+  um_cfg.min_width = 128;
+  um_cfg.heap_capacity = 16;
+  const auto cfg = vanilla_cfg();
+  const auto feed = [](MeasurementDaemon& d, std::uint64_t seed,
+                       std::uint64_t packets = 1500) {
+    for (const auto& p : small_trace(packets, seed)) d.on_packet(p.key, p.ts_ns);
+  };
+  const auto make = [&] {
+    auto d = std::make_unique<MeasurementDaemon>(um_cfg, cfg, MeasurementDaemon::Tasks{}, 99);
+    d->enable_delta_checkpoints();
+    return d;
+  };
+
+  // The payloads the monitor writes: a full frame with a previous sketch,
+  // then a delta that crosses one rotation.
+  auto source = make();
+  feed(*source, 21);
+  (void)source->end_epoch();
+  feed(*source, 22);
+  const auto full = source->checkpoint_bytes();
+  source->cut_checkpoint_frame();
+  (void)source->end_epoch();
+  feed(*source, 23);
+  const auto delta = source->delta_checkpoint_bytes();
+
+  // Target and twin hold the same state, whose epoch, totals and counters
+  // all differ from the source's; only the target sees the truncated
+  // payloads.
+  const auto sweep = [&](MeasurementDaemon& target, MeasurementDaemon& twin,
+                         const std::vector<std::uint8_t>& payload, bool is_delta) {
+    const auto untouched = twin.checkpoint_bytes();
+    for (std::size_t n = 0; n < payload.size(); ++n) {
+      const auto prefix = std::span(payload).first(n);
+      if (is_delta) {
+        EXPECT_THROW(target.apply_delta_checkpoint(prefix), std::exception) << n;
+      } else {
+        EXPECT_THROW(target.restore_checkpoint(prefix), std::exception) << n;
+      }
+      ASSERT_EQ(target.epoch(), twin.epoch()) << n;
+      ASSERT_EQ(target.data_plane().total(), twin.data_plane().total()) << n;
+      ASSERT_EQ(target.checkpoint_bytes(), untouched) << n;
+    }
+    expect_same_report(target.end_epoch(), twin.end_epoch());
+  };
+
+  auto target = make(), twin = make();
+  for (MeasurementDaemon* d : {target.get(), twin.get()}) {
+    feed(*d, 31, 900);
+    (void)d->end_epoch();
+    feed(*d, 32, 900);
+    (void)d->end_epoch();
+    feed(*d, 33, 700);
   }
-  const auto want_ch = canonical(want.changed_flows);
-  const auto got_ch = canonical(got.changed_flows);
-  ASSERT_EQ(got_ch.size(), want_ch.size());
-  for (std::size_t c = 0; c < got_ch.size(); ++c) {
-    EXPECT_EQ(got_ch[c].key, want_ch[c].key);
-    EXPECT_EQ(got_ch[c].estimate, want_ch[c].estimate);
-  }
+  sweep(*target, *twin, full, /*is_delta=*/false);
+
+  target = make();
+  twin = make();
+  target->restore_checkpoint(full);
+  twin->restore_checkpoint(full);
+  sweep(*target, *twin, delta, /*is_delta=*/true);
 }
 
 TEST(DaemonCheckpoint, RestoreRejectsWrongMagicLoudly) {

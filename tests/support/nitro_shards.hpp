@@ -1,5 +1,5 @@
-// ShardGroup<NitroSketch<Base>> for the shard, supervision and checkpoint
-// suites and the shard benches, built the way nitro_monitor builds its
+// ShardGroup<NitroSketch<Base>> for the shard and supervision suites and
+// the shard benches, built the way nitro_monitor builds its
 // NitroUnivMon shards: one base factory for every shard (mergeable
 // counters) and per-shard sampler seeds from shard::shard_sampler_seed.
 #pragma once

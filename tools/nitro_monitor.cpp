@@ -101,8 +101,7 @@ void usage(const char* argv0) {
                "          [--replay-loop N] [--paced]\n"
                "          [--stats-out FILE] [--stats-format prom|json]\n"
                "          [--stats-interval N] [--checkpoint-dir DIR]\n"
-               "          [--checkpoint-full-every N] [--require-restore]\n"
-               "          [--recover-from-collector]\n"
+               "          [--require-restore] [--recover-from-collector]\n"
                "          [--export-to tcp:HOST:PORT|unix:PATH] [--source-id N]\n"
                "          [--trace-out FILE] [--accuracy-sample N]\n"
                "          [--master-key HEX] [--rotate-epochs N]\n"
@@ -165,8 +164,6 @@ Options parse_args(int argc, char** argv) {
       opt.stats_interval = f.number(1, kMax<int>);
     } else if (f.is("--checkpoint-dir")) {
       rt.checkpoint_dir = f.value();
-    } else if (f.is("--checkpoint-full-every")) {
-      rt.checkpoint_full_every = f.number<std::uint64_t>(1, kMax<std::uint64_t>);
     } else if (f.is("--require-restore")) {
       opt.require_restore = true;
     } else if (f.is("--recover-from-collector")) {
